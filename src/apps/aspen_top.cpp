@@ -141,8 +141,8 @@ void render_frame(int nranks, int frame, int rounds, bool clear_screen) {
   prev_sampled.resize(static_cast<std::size_t>(nranks), 0);
 
   bench::table ranks({"rank", "hp", "updates", "eager", "deferred", "ratio",
-                      "shm%", "agg", "trc/s", "plane", "sqe_saved", "sendq",
-                      "staged", "lpc_depth"});
+                      "shm%", "agg", "trc/s", "sendq", "staged",
+                      "lpc_depth"});
   for (int r = 0; r < nranks; ++r) {
     const telemetry::snapshot s = telemetry::live::rank_snapshot(r);
     const telemetry::live::gauges g = telemetry::live::rank_gauges(r);
@@ -183,13 +183,7 @@ void render_frame(int nranks, int frame, int rounds, bool clear_screen) {
                    ratio, shm_pct,
                    std::to_string(
                        s.get(telemetry::counter::agg_frames_coalesced)),
-                   trc,
-                   // Data plane ("poll"/"uring") and the syscalls the uring
-                   // backend saved vs poll (batched SQEs + multishot hits).
-                   g.backend != 0 ? "uring" : "poll",
-                   std::to_string(
-                       s.get(telemetry::counter::uring_syscalls_saved)),
-                   std::to_string(g.sendq_bytes),
+                   trc, std::to_string(g.sendq_bytes),
                    std::to_string(g.staged_msgs),
                    std::to_string(g.lpc_mailbox_depth)});
   }

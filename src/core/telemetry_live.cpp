@@ -106,7 +106,6 @@ void encode_update(const snapshot& delta, const gauges& g,
   put_varint(out, g.sendq_high_water);
   put_varint(out, g.staged_msgs);
   put_varint(out, g.lpc_mailbox_depth);
-  put_varint(out, g.backend);
   put_varint(out, g.wd_state);
 }
 
@@ -134,7 +133,6 @@ bool decode_update(const void* data, std::size_t len, snapshot* delta,
       !get_varint(p, end, &gg.sendq_high_water) ||
       !get_varint(p, end, &gg.staged_msgs) ||
       !get_varint(p, end, &gg.lpc_mailbox_depth) ||
-      !get_varint(p, end, &gg.backend) ||
       !get_varint(p, end, &gg.wd_state))
     return false;
   if (p != end) return false;  // trailing garbage

@@ -45,7 +45,6 @@ struct gauges {
   std::uint64_t sendq_high_water = 0;  ///< endpoint sendq high-water (bytes)
   std::uint64_t staged_msgs = 0;       ///< AMs staged awaiting in-order release
   std::uint64_t lpc_mailbox_depth = 0; ///< current persona's mailbox backlog
-  std::uint64_t backend = 0;           ///< socket data plane: 0 poll, 1 uring
   std::uint64_t wd_state = 0;          ///< watchdog last-episode state:
                                        ///< 0 healthy, 1 stalled, 2 recovered
 };
@@ -68,7 +67,7 @@ inline constexpr std::size_t kFieldCount =
 
 /// Append the update payload to `out`: a varint count of non-zero fields,
 /// that many (varint index, varint value) pairs with strictly increasing
-/// indexes, then the six gauge varints.
+/// indexes, then the five gauge varints.
 void encode_update(const snapshot& delta, const gauges& g,
                    std::vector<std::byte>& out);
 

@@ -68,10 +68,6 @@ long env_long(const char* name) {
   return r;
 }
 
-[[noreturn]] void die_errno(const char* what) {
-  aspen::fatal("net: %s: %s", what, std::strerror(errno));
-}
-
 void append_u64(std::vector<std::byte>& v, std::uint64_t x) {
   const std::size_t off = v.size();
   v.resize(off + sizeof x);
@@ -134,6 +130,7 @@ endpoint::endpoint(int rank, int nranks, gex::net_config cfg,
       nranks_(nranks),
       cfg_(cfg),
       peers_(static_cast<std::size_t>(nranks)),
+      io_(nranks),
       sent_to_(static_cast<std::size_t>(nranks)),
       delivered_from_(static_cast<std::size_t>(nranks)) {
   aspen::log_set_rank(rank_);
@@ -148,22 +145,10 @@ endpoint::endpoint(int rank, int nranks, gex::net_config cfg,
   if (rank_ == 0) telemetry::live::collector_reset(nranks_);
   master_tid_ = std::this_thread::get_id();
   bootstrap(segment_bytes);
-  // Choose the socket data plane once the mesh is wired: io_uring when
-  // ASPEN_NET_URING=1 and the kernel cooperates, the portable poll(2)
-  // backend otherwise (docs/URING.md). The choice persists across regions
-  // like the sockets themselves.
-  io_ = make_io_backend(cfg_, nranks_, io_reason_);
   for (int r = 0; r < nranks_; ++r) {
     if (r == rank_) continue;
     peer& p = peer_of(r);
-    if (p.sock.valid()) io_->attach(r, p.sock.get());
-  }
-  if (rank_ == 0) {
-    if (io_reason_.empty())
-      aspen::log(log_level::info, "net: data plane = %s", io_->name());
-    else
-      aspen::log(log_level::info, "net: data plane = %s (%s)", io_->name(),
-                 io_reason_.c_str());
+    if (p.sock.valid()) io_.attach(r, p.sock.get());
   }
   if (telemetry::live::trace_base() != nullptr)
     telemetry::enable_tracing(true);
@@ -186,8 +171,7 @@ endpoint::endpoint(int rank, int nranks, gex::net_config cfg,
         if (r == rank_) continue;
         const peer& p = *peers_[static_cast<std::size_t>(r)];
         std::lock_guard<std::mutex> lk(p.mu);
-        st.sendq_bytes += p.out.size() - p.out_off + p.shm_agg.size() +
-                          io_->send_backlog(r);
+        st.sendq_bytes += p.out.size() - p.out_off + p.shm_agg.size();
         st.staged_msgs += p.staged.size();
         if (p.out_busy_since_ns != 0 && now > p.out_busy_since_ns) {
           const std::uint64_t age = now - p.out_busy_since_ns;
@@ -211,10 +195,6 @@ endpoint::endpoint(int rank, int nranks, gex::net_config cfg,
 }
 
 endpoint::~endpoint() {
-  // Tear down the data plane first: quiescence already drained its queues,
-  // and closing the ring cancels the armed multishot recvs so the raw bye
-  // sends below own the sockets outright.
-  io_.reset();
   // Best-effort clean-shutdown marker so peers can distinguish our EOF
   // from a crash. The quiescence protocol has already drained real
   // traffic; 24 header bytes fit any live socket buffer.
@@ -369,6 +349,9 @@ void endpoint::bootstrap_shm(const std::vector<std::uint64_t>& host_ids,
   shm_eager_max_ = cfg_.shm.eager_max != 0 ? cfg_.shm.eager_max
                                            : cfg_.eager_max;
   if (shm_eager_max_ > msg_cap / 4) shm_eager_max_ = msg_cap / 4;
+  // A full ring re-sends staged records as eager socket frames.
+  const std::size_t eager_limit = eager_payload_limit(cfg_.max_frame);
+  if (shm_eager_max_ > eager_limit) shm_eager_max_ = eager_limit;
   shm_bulk_max_ = mp->inbound_bulk(rank_).capacity() / 2;
 
   const auto candidate = [&](int r) {
@@ -492,20 +475,17 @@ void endpoint::serve_clock_probes(int fd) {
 
 void endpoint::flush_locked(peer& p, int target) {
   // Residency stamp: the queue went non-empty at (or just before) this
-  // flush attempt. Cleared below once the socket path fully drains (poll:
-  // right here; uring: once the completion lands, detected by pump()); the
-  // elapsed time is the sendq_residency latency sample and the watchdog's
-  // stall probe.
+  // flush attempt. Cleared below once the socket takes every queued byte;
+  // the elapsed time is the sendq_residency latency sample and the
+  // watchdog's stall probe.
   if (telemetry::compiled_in() && p.out_busy_since_ns == 0 &&
       p.out_off < p.out.size())
     p.out_busy_since_ns = mono_ns();
-  io_->flush(target, p.out, p.out_off);
-  const std::size_t backlog = io_->send_backlog(target);
+  io_.flush(target, p.out, p.out_off);
   if (p.out_off == p.out.size()) {
     p.out.clear();
     p.out_off = 0;
-    if (telemetry::compiled_in() && p.out_busy_since_ns != 0 &&
-        backlog == 0 && !io_->send_pending(target)) {
+    if (telemetry::compiled_in() && p.out_busy_since_ns != 0) {
       telemetry::note_latency(telemetry::lat_stream::sendq_residency,
                               mono_ns() - p.out_busy_since_ns);
       p.out_busy_since_ns = 0;
@@ -516,9 +496,7 @@ void endpoint::flush_locked(peer& p, int target) {
                 p.out.begin() + static_cast<std::ptrdiff_t>(p.out_off));
     p.out_off = 0;
   }
-  // Depth spans both homes of unsent bytes: the endpoint's residue (poll's
-  // EAGAIN leftover) and the backend's adopted backlog (uring).
-  const std::size_t depth = p.out.size() - p.out_off + backlog;
+  const std::size_t depth = p.out.size() - p.out_off;
   std::size_t hw = sendq_high_water_.load(std::memory_order_relaxed);
   while (depth > hw && !sendq_high_water_.compare_exchange_weak(
                            hw, depth, std::memory_order_relaxed)) {
@@ -618,13 +596,13 @@ void endpoint::shm_agg_flush_locked(peer& p, int target,
 
 void endpoint::park_sendq(gex::runtime& rt, peer& p, int target) {
   // Bounded-queue mode (ASPEN_NET_SENDQ_MAX): an injector that finds the
-  // peer's unsent bytes (endpoint residue + backend backlog) over the cap
-  // parks — flush attempt, then yield or pump — instead of growing the
-  // queue without bound, mirroring the perturbed conduit's bounded-inbox
-  // backpressure. The spin budget guarantees progress even when both sides
-  // flood each other (each then proceeds and the queues absorb the
-  // overshoot). Never parks inside the pump: a handler replying from
-  // process_frame must not wait on the queue its own delivery fills.
+  // peer's unsent bytes over the cap parks — flush attempt, then yield or
+  // pump — instead of growing the queue without bound, mirroring the
+  // perturbed conduit's bounded-inbox backpressure. The spin budget
+  // guarantees progress even when both sides flood each other (each then
+  // proceeds and the queues absorb the overshoot). Never parks inside the
+  // pump: a handler replying from process_frame must not wait on the queue
+  // its own delivery fills.
   if (pumping_.load(std::memory_order_relaxed)) return;
   constexpr int kParkSpins = 1 << 12;
   const bool master = std::this_thread::get_id() == master_tid_;
@@ -632,19 +610,17 @@ void endpoint::park_sendq(gex::runtime& rt, peer& p, int target) {
   for (int spin = 0; spin < kParkSpins; ++spin) {
     {
       std::lock_guard<std::mutex> lk(p.mu);
-      if (p.out.size() - p.out_off + io_->send_backlog(target) <= sendq_max_)
-        return;
+      if (p.out.size() - p.out_off <= sendq_max_) return;
       flush_locked(p, target);
-      if (p.out.size() - p.out_off + io_->send_backlog(target) <= sendq_max_)
-        return;
+      if (p.out.size() - p.out_off <= sendq_max_) return;
     }
     if (!parked) {
       parked = true;
       telemetry::count(telemetry::counter::net_sendq_parked);
     }
-    // The uring backlog only drains when its completions are reaped, and
-    // only the master thread pumps — so the master makes its own progress
-    // here; injector threads yield to it.
+    // Only the master thread pumps, so the master makes its own progress
+    // here (which also drains inbound bytes when both sides flood each
+    // other); injector threads yield to it.
     if (master)
       (void)pump(rt);
     else
@@ -871,21 +847,12 @@ std::size_t endpoint::pump(gex::runtime& rt) {
         else
           p.shm_agg_seen_frames = p.shm_agg_frames;
       }
-      // uring completes sends asynchronously: close the residency window
-      // here once the backend's backlog has drained (poll closes it inside
-      // flush_locked, synchronously).
-      if (telemetry::compiled_in() && p.out_busy_since_ns != 0 &&
-          p.out_off >= p.out.size() && !io_->send_pending(r)) {
-        telemetry::note_latency(telemetry::lat_stream::sendq_residency,
-                                mono_ns() - p.out_busy_since_ns);
-        p.out_busy_since_ns = 0;
-      }
     }
     if (p.shm_active) work += pump_shm_peer(rt, r);
   }
-  // One backend tick drains every readable socket / reaps every completion
-  // and feeds the decoders (on_bytes); frames are then processed per peer.
-  work += io_->pump(*this);
+  // One backend tick drains every readable socket and feeds the decoders
+  // (on_bytes); frames are then processed per peer.
+  work += io_.pump(*this);
   for (int r = 0; r < nranks_; ++r) {
     if (r == rank_) continue;
     work += drain_peer(rt, r);
@@ -1005,10 +972,9 @@ std::size_t endpoint::pump_shm_peer(gex::runtime& rt, int rank) {
 
 void endpoint::idle_wait() noexcept {
   // A wait loop has gone a sustained stretch with zero progress: this rank
-  // is blocked on a sibling *process*. Park in the data plane's wait —
-  // poll(2) on the mesh sockets or io_uring_enter(GETEVENTS) — bounded at
-  // 1 ms, instead of spinning: the scheduler hands the CPU to the sender
-  // at once, and the first inbound byte (or completion) wakes us.
+  // is blocked on a sibling *process*. Park in poll(2) on the mesh sockets,
+  // bounded at 1 ms, instead of spinning: the scheduler hands the CPU to
+  // the sender at once, and the first inbound byte wakes us.
   //
   // Open coalescing batches are forced out first: a parked waiter may be
   // waiting on replies to the very frames a batch is still holding.
@@ -1032,7 +998,7 @@ void endpoint::idle_wait() noexcept {
     // will never see those bytes.
     if (p.shm_active && !p.shm_in_msg.empty()) return;
   }
-  io_->idle_park();
+  io_.idle_park();
 }
 
 std::size_t endpoint::drain_peer(gex::runtime& rt, int rank) {
@@ -1059,7 +1025,7 @@ std::size_t endpoint::drain_peer(gex::runtime& rt, int rank) {
           rank, rank_);
     }
     p.departed = true;
-    io_->detach(rank);
+    io_.detach(rank);
     p.sock.reset();
     ++work;
   }
@@ -1123,17 +1089,12 @@ void endpoint::process_frame(gex::runtime& rt, int rank, frame&& f) {
       dh.src = rank_;
       dh.aux = f.hdr.aux;
       dh.seq = it->second.seq;
-      // Everything queued ahead of the DATA frame goes to the backend
-      // first (order), then the backend may take the frame straight from a
-      // registered fixed buffer — skipping the wire-buffer copy. Fallback:
-      // the classic encode-and-flush.
+      // Close any open coalescing batch (a forced flush) and send what is
+      // queued, then queue the DATA frame behind it.
       agg_flush_locked(p, rank, telemetry::counter::agg_flush_forced);
-      if (!io_->send_data_frame(rank, dh, it->second.bytes.data(),
-                                it->second.bytes.size())) {
-        encode_frame(p.out, dh, it->second.bytes.data(),
-                     it->second.bytes.size());
-        flush_locked(p, rank);
-      }
+      encode_frame(p.out, dh, it->second.bytes.data(),
+                   it->second.bytes.size());
+      flush_locked(p, rank);
       p.rdzv_out.erase(it);
       break;
     }
@@ -1260,7 +1221,6 @@ bool endpoint::locally_unsettled() const noexcept {
     const peer& p = *peers_[static_cast<std::size_t>(r)];
     std::lock_guard<std::mutex> lk(p.mu);
     if (p.out_off < p.out.size()) return true;
-    if (io_->send_pending(r)) return true;
     if (p.shm_agg_frames != 0) return true;
     if (!p.rdzv_out.empty()) return true;
     if (!p.staged.empty() || !p.rdzv_in.empty()) return true;
@@ -1474,8 +1434,7 @@ telemetry::live::gauges endpoint::live_gauges() const {
     if (r == rank_) continue;
     const peer& p = *peers_[static_cast<std::size_t>(r)];
     std::lock_guard<std::mutex> lk(p.mu);
-    g.sendq_bytes += p.out.size() - p.out_off + p.shm_agg.size() +
-                     io_->send_backlog(r);
+    g.sendq_bytes += p.out.size() - p.out_off + p.shm_agg.size();
     if (p.shm_active)
       g.sendq_bytes +=
           p.shm_out_msg.depth_bytes() + p.shm_out_bulk.depth_bytes();
@@ -1483,7 +1442,6 @@ telemetry::live::gauges endpoint::live_gauges() const {
   }
   g.sendq_high_water = sendq_high_water_.load(std::memory_order_relaxed);
   g.lpc_mailbox_depth = current_persona().mailbox_depth();
-  g.backend = std::strcmp(io_->name(), "uring") == 0 ? 1 : 0;
   g.wd_state =
       static_cast<std::uint64_t>(telemetry::watchdog::health_state());
   return g;
@@ -1529,9 +1487,9 @@ void endpoint::finish_region_telemetry(const progress_fn& progress) {
       peer& p0 = peer_of(0);
       {
         std::lock_guard<std::mutex> lk(p0.mu);
-        if (p0.out_off >= p0.out.size() && !io_->send_pending(0)) return;
+        if (p0.out_off >= p0.out.size()) return;
         agg_flush_locked(p0, 0, telemetry::counter::agg_flush_forced);
-        if (p0.out_off >= p0.out.size() && !io_->send_pending(0)) return;
+        if (p0.out_off >= p0.out.size()) return;
       }
       progress();
     }

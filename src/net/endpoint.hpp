@@ -19,7 +19,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <string>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -83,14 +82,8 @@ class endpoint final : public gex::wire_transport,
   [[nodiscard]] bool has_pending() const noexcept override;
   void idle_wait() noexcept override;
 
-  /// The active socket data plane ("uring" or "poll"; docs/URING.md).
-  [[nodiscard]] const char* data_plane() const noexcept {
-    return io_->name();
-  }
-  /// Why the poll backend is in use ("" while the uring plane is active).
-  [[nodiscard]] const std::string& data_plane_reason() const noexcept {
-    return io_reason_;
-  }
+  /// The socket data plane (always "poll"; docs/NET.md).
+  [[nodiscard]] const char* data_plane() const noexcept { return "poll"; }
 
   /// Largest per-peer send-queue depth (bytes) observed so far.
   [[nodiscard]] std::size_t sendq_high_water() const noexcept {
@@ -304,14 +297,13 @@ class endpoint final : public gex::wire_transport,
   /// (same seqs — the receiver's staged map re-merges the channels). mu
   /// held by caller.
   void shm_agg_flush_locked(peer& p, int target, telemetry::counter trigger);
-  /// Park the calling injector while the peer's socket queue (endpoint
-  /// residue + backend backlog) exceeds sendq_max_ (bounded spin: progress
-  /// is always guaranteed; the master thread pumps instead of spinning so
-  /// uring completions keep draining).
+  /// Park the calling injector while the peer's unsent socket bytes exceed
+  /// sendq_max_ (bounded spin: progress is always guaranteed; the master
+  /// thread pumps instead of spinning so inbound bytes keep draining).
   void park_sendq(gex::runtime& rt, peer& p, int target);
-  /// io_backend::recv_sink — called from io_->pump() on the master thread:
+  /// io_backend::recv_sink — called from io_.pump() on the master thread:
   /// feed the peer's incremental decoder / flag stream EOF. Must not take
-  /// peer send locks (lock order is peer.mu before the backend's).
+  /// peer send locks.
   void on_bytes(int rank, const void* data, std::size_t len) override;
   void on_eof(int rank) override;
   /// Process decoded frames and resolve a pending EOF for one peer (the
@@ -329,9 +321,8 @@ class endpoint final : public gex::wire_transport,
   int nranks_;
   gex::net_config cfg_;
   std::vector<std::unique_ptr<peer>> peers_;  ///< [nranks_], self unused
-  /// The socket data plane (chosen once at bootstrap; docs/URING.md).
-  std::unique_ptr<io_backend> io_;
-  std::string io_reason_;  ///< why poll is in use ("" when uring is up)
+  /// The socket data plane (peer fds attached once the mesh is wired).
+  io_backend io_;
   std::thread::id master_tid_;  ///< the bootstrap/pump thread
   /// pump() reentrancy guard. Written by the master thread only; atomic
   /// because park_sendq() consults it from injector threads.

@@ -11,7 +11,6 @@
 
 #include "core/log.hpp"
 #include "core/telemetry.hpp"
-#include "uring/net_backend.hpp"
 
 namespace aspen::net {
 
@@ -28,142 +27,96 @@ constexpr nfds_t kMaxPollFds = 64;
                std::strerror(errno));
 }
 
-/// The portable data plane: the exact synchronous send/recv/poll behavior
-/// the endpoint had before the seam was carved out.
-class poll_backend final : public io_backend {
- public:
-  explicit poll_backend(int nranks)
-      : fds_(static_cast<std::size_t>(nranks), -1) {}
-
-  [[nodiscard]] const char* name() const noexcept override { return "poll"; }
-
-  void attach(int rank, int fd) override {
-    fds_[static_cast<std::size_t>(rank)] = fd;
-  }
-  void detach(int rank) override {
-    fds_[static_cast<std::size_t>(rank)] = -1;
-  }
-
-  void flush(int rank, std::vector<std::byte>& out,
-             std::size_t& off) override {
-    const int fd = fds_[static_cast<std::size_t>(rank)];
-    if (fd < 0) {
-      out.clear();
-      off = 0;
-      return;
-    }
-    while (off < out.size()) {
-      const std::size_t want = out.size() - off;
-      const ssize_t n = ::send(fd, out.data() + off, want, MSG_NOSIGNAL);
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        if (errno == EAGAIN || errno == EWOULDBLOCK) {
-          telemetry::count(telemetry::counter::net_partial_writes);
-          break;
-        }
-        die_errno("send", rank);
-      }
-      telemetry::count(telemetry::counter::net_bytes_sent,
-                       static_cast<std::uint64_t>(n));
-      off += static_cast<std::size_t>(n);
-      if (static_cast<std::size_t>(n) < want)
-        telemetry::count(telemetry::counter::net_partial_writes);
-    }
-  }
-
-  bool send_data_frame(int, const frame_header&, const void*,
-                       std::size_t) override {
-    return false;  // no fixed-buffer path: the caller encodes into `out`
-  }
-
-  [[nodiscard]] bool send_pending(int) const noexcept override {
-    return false;  // flush leaves any residue in the endpoint's `out`
-  }
-  [[nodiscard]] std::size_t send_backlog(int) const noexcept override {
-    return 0;
-  }
-
-  std::size_t pump(recv_sink& sink) override {
-    std::size_t work = 0;
-    std::byte buf[64 * 1024];
-    for (int r = 0; r < static_cast<int>(fds_.size()); ++r) {
-      const int fd = fds_[static_cast<std::size_t>(r)];
-      if (fd < 0) continue;
-      for (;;) {
-        const ssize_t n = ::recv(fd, buf, sizeof buf, 0);
-        if (n > 0) {
-          telemetry::count(telemetry::counter::net_bytes_received,
-                           static_cast<std::uint64_t>(n));
-          sink.on_bytes(r, buf, static_cast<std::size_t>(n));
-          ++work;
-          if (static_cast<std::size_t>(n) < sizeof buf) {
-            // Short read: the kernel buffer is drained for now.
-            telemetry::count(telemetry::counter::net_short_reads);
-            break;
-          }
-          continue;
-        }
-        if (n == 0) {
-          sink.on_eof(r);
-          ++work;
-          break;
-        }
-        if (errno == EINTR) continue;
-        if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-        die_errno("recv", r);
-      }
-    }
-    return work;
-  }
-
-  void idle_park() override {
-    pollfd fds[kMaxPollFds];
-    nfds_t n = 0;
-    std::size_t active = 0;
-    const std::size_t count = fds_.size();
-    // Fill the window starting at the rotation cursor so a mesh larger
-    // than the fd cap watches every peer within ceil(active/cap) parks.
-    for (std::size_t i = 0; i < count; ++i) {
-      const std::size_t r = (rotate_ + i) % count;
-      const int fd = fds_[r];
-      if (fd < 0) continue;
-      ++active;
-      if (n >= kMaxPollFds) continue;
-      fds[n].fd = fd;
-      fds[n].events = POLLIN;
-      fds[n].revents = 0;
-      ++n;
-    }
-    if (n == 0) {
-      std::this_thread::yield();
-      return;
-    }
-    if (active > static_cast<std::size_t>(kMaxPollFds)) {
-      telemetry::count(telemetry::counter::net_idle_unwatched,
-                       active - static_cast<std::size_t>(kMaxPollFds));
-      rotate_ = (rotate_ + static_cast<std::size_t>(kMaxPollFds)) % count;
-    }
-    (void)::poll(fds, n, 1);
-  }
-
- private:
-  std::vector<int> fds_;   ///< peer fd by rank, -1 when absent
-  std::size_t rotate_ = 0; ///< idle-park window start (fd-cap rotation)
-};
-
 }  // namespace
 
-std::unique_ptr<io_backend> make_io_backend(const gex::net_config& cfg,
-                                            int nranks, std::string& reason) {
-  reason.clear();
-  if (cfg.uring.enabled) {
-    if (auto b = uring::make_net_backend(cfg.uring, nranks, reason))
-      return b;
-    if (reason.empty()) reason = "io_uring unavailable";
-  } else {
-    reason = "ASPEN_NET_URING not set";
+void io_backend::flush(int rank, std::vector<std::byte>& out,
+                       std::size_t& off) {
+  const int fd = fds_[static_cast<std::size_t>(rank)];
+  if (fd < 0) {
+    out.clear();
+    off = 0;
+    return;
   }
-  return std::make_unique<poll_backend>(nranks);
+  while (off < out.size()) {
+    const std::size_t want = out.size() - off;
+    const ssize_t n = ::send(fd, out.data() + off, want, MSG_NOSIGNAL);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      if (errno == EAGAIN || errno == EWOULDBLOCK) {
+        telemetry::count(telemetry::counter::net_partial_writes);
+        break;
+      }
+      die_errno("send", rank);
+    }
+    telemetry::count(telemetry::counter::net_bytes_sent,
+                     static_cast<std::uint64_t>(n));
+    off += static_cast<std::size_t>(n);
+    if (static_cast<std::size_t>(n) < want)
+      telemetry::count(telemetry::counter::net_partial_writes);
+  }
+}
+
+std::size_t io_backend::pump(recv_sink& sink) {
+  std::size_t work = 0;
+  std::byte buf[64 * 1024];
+  for (int r = 0; r < static_cast<int>(fds_.size()); ++r) {
+    const int fd = fds_[static_cast<std::size_t>(r)];
+    if (fd < 0) continue;
+    for (;;) {
+      const ssize_t n = ::recv(fd, buf, sizeof buf, 0);
+      if (n > 0) {
+        telemetry::count(telemetry::counter::net_bytes_received,
+                         static_cast<std::uint64_t>(n));
+        sink.on_bytes(r, buf, static_cast<std::size_t>(n));
+        ++work;
+        if (static_cast<std::size_t>(n) < sizeof buf) {
+          // Short read: the kernel buffer is drained for now.
+          telemetry::count(telemetry::counter::net_short_reads);
+          break;
+        }
+        continue;
+      }
+      if (n == 0) {
+        sink.on_eof(r);
+        ++work;
+        break;
+      }
+      if (errno == EINTR) continue;
+      if (errno == EAGAIN || errno == EWOULDBLOCK) break;
+      die_errno("recv", r);
+    }
+  }
+  return work;
+}
+
+void io_backend::idle_park() {
+  pollfd fds[kMaxPollFds];
+  nfds_t n = 0;
+  std::size_t active = 0;
+  const std::size_t count = fds_.size();
+  // Fill the window starting at the rotation cursor so a mesh larger
+  // than the fd cap watches every peer within ceil(active/cap) parks.
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::size_t r = (rotate_ + i) % count;
+    const int fd = fds_[r];
+    if (fd < 0) continue;
+    ++active;
+    if (n >= kMaxPollFds) continue;
+    fds[n].fd = fd;
+    fds[n].events = POLLIN;
+    fds[n].revents = 0;
+    ++n;
+  }
+  if (n == 0) {
+    std::this_thread::yield();
+    return;
+  }
+  if (active > static_cast<std::size_t>(kMaxPollFds)) {
+    telemetry::count(telemetry::counter::net_idle_unwatched,
+                     active - static_cast<std::size_t>(kMaxPollFds));
+    rotate_ = (rotate_ + static_cast<std::size_t>(kMaxPollFds)) % count;
+  }
+  (void)::poll(fds, n, 1);
 }
 
 }  // namespace aspen::net

@@ -1,38 +1,19 @@
-// net::io_backend — the endpoint's socket data-plane seam (docs/URING.md).
+// net::io_backend — the endpoint's socket data plane: synchronous
+// send(2)/recv(2) loops per peer plus a poll(2) idle park.
 //
 // net::endpoint owns every protocol decision (framing, seq order, staged
 // delivery, aggregation watermarks, quiescence accounting); the io_backend
-// owns only how bytes cross the kernel boundary. Two implementations:
+// owns only how bytes cross the kernel boundary. Per-peer byte-stream order
+// is preserved, and inbound bytes are fed to the sink in arrival order.
 //
-//   - poll  — the portable baseline: synchronous send(2)/recv(2) loops per
-//             peer plus a poll(2) park, exactly the pre-seam behavior.
-//   - uring — the ASPEN_NET_URING=1 data plane (src/uring/): sends are
-//             adopted into backend-owned stable buffers and submitted as
-//             batched SQEs (one io_uring_enter per pump tick), receives
-//             arrive via multishot recv from a registered buffer ring, and
-//             idle parking waits in io_uring_enter(GETEVENTS).
-//
-// The wire contract is identical on both: per-peer byte-stream order is
-// preserved (one in-flight send per peer, segments FIFO), inbound bytes are
-// fed to the sink in arrival order, and every backend-queued byte is
-// visible through send_pending/send_backlog so quiescence and the bounded
-// sendq can account for bytes the endpoint no longer holds.
-//
-// Threading: flush/send_data_frame/send_pending/send_backlog may be called
-// from any thread (the endpoint holds the peer's send lock; the backend
-// adds its own internal lock — lock order is always peer.mu before the
-// backend's). pump/idle_park/attach/detach are master-thread only; the
-// sink callbacks run on the master thread and must not take peer send
+// Threading: flush may be called from any thread (the endpoint holds the
+// peer's send lock). pump/idle_park/attach/detach are master-thread only;
+// the sink callbacks run on the master thread and must not take peer send
 // locks.
 #pragma once
 
 #include <cstddef>
-#include <memory>
-#include <string>
 #include <vector>
-
-#include "gex/config.hpp"
-#include "net/wire.hpp"
 
 namespace aspen::net {
 
@@ -50,56 +31,31 @@ class io_backend {
     ~recv_sink() = default;
   };
 
-  virtual ~io_backend() = default;
+  explicit io_backend(int nranks)
+      : fds_(static_cast<std::size_t>(nranks), -1) {}
 
-  /// "poll" or "uring" — the data-plane name reported at region entry.
-  [[nodiscard]] virtual const char* name() const noexcept = 0;
+  /// Adopt a connected, non-blocking peer socket. The fd stays owned by
+  /// the endpoint.
+  void attach(int rank, int fd) { fds_[static_cast<std::size_t>(rank)] = fd; }
+  /// Forget a departed peer: stop sending to and watching its fd.
+  void detach(int rank) { fds_[static_cast<std::size_t>(rank)] = -1; }
 
-  /// Adopt a connected, non-blocking peer socket (and arm its receive
-  /// path). The fd stays owned by the endpoint.
-  virtual void attach(int rank, int fd) = 0;
-  /// Forget a departed peer: drop queued sends, stop watching the fd.
-  virtual void detach(int rank) = 0;
+  /// Send queued wire bytes (`out[off..]`) without blocking, advancing
+  /// `off` up to EAGAIN; any residue stays in `out` for the next flush.
+  /// Called with the peer's send lock held.
+  void flush(int rank, std::vector<std::byte>& out, std::size_t& off);
 
-  /// Move queued wire bytes (`out[off..]`) toward the kernel without
-  /// blocking; called with the peer's send lock held. poll sends
-  /// synchronously up to EAGAIN (residue stays in `out`); uring adopts
-  /// everything into a backend-owned buffer (visible via send_backlog
-  /// until the completion lands) and leaves `out` empty.
-  virtual void flush(int rank, std::vector<std::byte>& out,
-                     std::size_t& off) = 0;
+  /// One progress tick: drain every readable socket and feed the inbound
+  /// bytes (or EOF) to the sink. Returns units of work done.
+  std::size_t pump(recv_sink& sink);
 
-  /// Rendezvous DATA fast path: queue header+payload as one ordered send
-  /// from a registered fixed buffer, returning false when the caller must
-  /// fall back to encoding into `out` (poll backend, no free slot, or a
-  /// payload larger than a slot). Called with the peer's send lock held,
-  /// after flush(), so queued bytes stay ahead of the DATA frame.
-  virtual bool send_data_frame(int rank, const frame_header& hdr,
-                               const void* payload, std::size_t len) = 0;
+  /// Park for up to 1 ms in poll(2) waiting for inbound traffic, rotating
+  /// the watched window when the mesh exceeds the fd cap.
+  void idle_park();
 
-  /// True while the backend still holds unsent/incomplete bytes for the
-  /// peer (always false on poll: its flush leaves residue in `out`).
-  [[nodiscard]] virtual bool send_pending(int rank) const noexcept = 0;
-  /// Bytes the backend holds for the peer (counted into sendq gauges,
-  /// the watchdog probe, and the ASPEN_NET_SENDQ_MAX bound).
-  [[nodiscard]] virtual std::size_t send_backlog(int rank) const noexcept = 0;
-
-  /// One progress tick: reap completions / drain readable sockets, feed
-  /// inbound bytes to the sink, and submit anything staged (uring: ONE
-  /// io_uring_enter for the whole tick). Returns units of work done.
-  virtual std::size_t pump(recv_sink& sink) = 0;
-
-  /// Park for up to ~1 ms waiting for inbound traffic or completions.
-  /// poll(2) on the peer sockets (rotating the watched window when the
-  /// mesh exceeds the fd cap) or io_uring_enter(GETEVENTS).
-  virtual void idle_park() = 0;
+ private:
+  std::vector<int> fds_;    ///< peer fd by rank, -1 when absent
+  std::size_t rotate_ = 0;  ///< idle-park window start (fd-cap rotation)
 };
-
-/// Choose the data plane for this process: the uring backend when
-/// cfg.uring.enabled and the kernel cooperates, else the poll backend with
-/// `reason` explaining the degradation ("ASPEN_NET_URING not set",
-/// "io_uring_setup: ...", ...). `reason` stays empty when uring comes up.
-std::unique_ptr<io_backend> make_io_backend(const gex::net_config& cfg,
-                                            int nranks, std::string& reason);
 
 }  // namespace aspen::net

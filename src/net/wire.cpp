@@ -154,14 +154,12 @@ gex::net_config apply_env(gex::net_config cfg) {
     cfg.agg.flush_us = env_u64("ASPEN_AGG_FLUSH_US", cfg.agg.flush_us);
     cfg.sendq_max = static_cast<std::size_t>(
         env_u64("ASPEN_NET_SENDQ_MAX", cfg.sendq_max));
-    cfg.uring.enabled =
-        env_u64("ASPEN_NET_URING", cfg.uring.enabled ? 1 : 0) != 0;
-    cfg.uring.sq_depth = static_cast<unsigned>(
-        env_u64("ASPEN_URING_SQ_DEPTH", cfg.uring.sq_depth));
-    cfg.uring.bufring_bytes = static_cast<std::size_t>(
-        env_u64("ASPEN_URING_BUFRING_BYTES", cfg.uring.bufring_bytes));
   }
-  if (cfg.eager_max > cfg.max_frame) cfg.eager_max = cfg.max_frame;
+  // An eager frame carries the message plus its prefix in one frame, so
+  // both eager bounds stay under the frame ceiling (the shm one too: a full
+  // ring re-sends staged records as eager socket frames).
+  const std::size_t eager_limit = eager_payload_limit(cfg.max_frame);
+  if (cfg.eager_max > eager_limit) cfg.eager_max = eager_limit;
   // Normalize the aggregation watermarks: at least one full eager frame must
   // fit (otherwise every send would flush immediately and the layer is pure
   // overhead), and a frame-count watermark of zero means "flush every frame"
@@ -179,16 +177,6 @@ gex::net_config apply_env(gex::net_config cfg) {
         2 * sizeof(frame_header);
     if (cfg.sendq_max < floor_bytes) cfg.sendq_max = floor_bytes;
   }
-  // Normalize the uring knobs: the kernel clamps the SQ depth itself
-  // (IORING_SETUP_CLAMP) but a tiny ring would serialize the batcher and a
-  // huge one pins pages for nothing; the buffer ring must hold at least a
-  // couple of recv chunks.
-  if (cfg.uring.sq_depth < 8) cfg.uring.sq_depth = 8;
-  if (cfg.uring.sq_depth > 4096) cfg.uring.sq_depth = 4096;
-  if (cfg.uring.bufring_bytes < (std::size_t{64} << 10))
-    cfg.uring.bufring_bytes = std::size_t{64} << 10;
-  if (cfg.uring.bufring_bytes > (std::size_t{64} << 20))
-    cfg.uring.bufring_bytes = std::size_t{64} << 20;
   // Normalize the shm channel geometry: power-of-two rings, the inline
   // bound inherited from the socket eager_max unless overridden, and always
   // small enough that several inline records fit in a message ring.
@@ -198,6 +186,7 @@ gex::net_config apply_env(gex::net_config cfg) {
   if (cfg.shm.eager_max == 0) cfg.shm.eager_max = cfg.eager_max;
   if (cfg.shm.eager_max > cfg.shm.msg_ring_bytes / 4)
     cfg.shm.eager_max = cfg.shm.msg_ring_bytes / 4;
+  if (cfg.shm.eager_max > eager_limit) cfg.shm.eager_max = eager_limit;
   return cfg;
 }
 

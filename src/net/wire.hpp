@@ -136,6 +136,13 @@ static_assert(std::is_trivially_copyable_v<eager_body>);
 
 inline constexpr std::size_t kEagerPrefixBytes = sizeof(eager_body);
 
+/// Largest AM payload one am_eager frame can carry under a `max_frame`
+/// payload ceiling: the frame's payload is the prefix plus the message.
+[[nodiscard]] constexpr std::size_t eager_payload_limit(
+    std::size_t max_frame) noexcept {
+  return max_frame > kEagerPrefixBytes ? max_frame - kEagerPrefixBytes : 0;
+}
+
 /// Decode the am_eager prefix out of a frame payload. Rejects runt frames
 /// (payload shorter than the fixed prefix) — the conduit treats a false
 /// return as a protocol violation.

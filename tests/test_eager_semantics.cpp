@@ -91,16 +91,16 @@ TEST(EagerSemantics, ListingOneCallbackTiming) {
   aspen::spmd(1, [] {
     auto gp = new_<int>(0);
 
-    bool defer_ran_during_then = true;
+    bool defer_ran_in_then = true;
     {
       future<> f = rput(42, gp, operation_cx::as_defer_future());
       bool ran = false;
       future<> f2 = f.then([&] { ran = true; });
-      defer_ran_during_then = ran;
+      defer_ran_in_then = ran;
       f2.wait();
       EXPECT_TRUE(ran);
     }
-    EXPECT_FALSE(defer_ran_during_then);
+    EXPECT_FALSE(defer_ran_in_then);
 
     {
       future<> f = rput(43, gp, operation_cx::as_eager_future());
@@ -236,15 +236,15 @@ TEST(EagerSemantics, SourceEagerFutureOnBulkPut) {
 TEST(ProgressEngine, NotificationsEnqueuedDuringProgressFireNextCall) {
   aspen::spmd(1, [] {
     auto gp = new_<int>(0);
-    bool inner_ready_during_outer = true;
+    bool inner_ready_in_outer = true;
     future<> inner;
     rput(1, gp, operation_cx::as_defer_lpc([&] {
            // Runs inside progress; the op it launches defers again.
            inner = rput(2, gp, operation_cx::as_defer_future());
          }));
     progress();  // fires the LPC, which enqueues inner's notification
-    inner_ready_during_outer = inner.ready();
-    EXPECT_FALSE(inner_ready_during_outer);
+    inner_ready_in_outer = inner.ready();
+    EXPECT_FALSE(inner_ready_in_outer);
     progress();  // the *next* entry delivers it
     EXPECT_TRUE(inner.ready());
     delete_(gp);
