@@ -41,8 +41,8 @@
 //   ASPEN_NET_EAGER_MAX    largest AM payload sent inline in one eager
 //                          frame; larger payloads use the RTS/CTS/DATA
 //                          rendezvous (default 8 KiB; decimal or 0x-hex;
-//                          clamped so the frame, 24-byte prefix included,
-//                          fits ASPEN_NET_MAX_FRAME)
+//                          clamped so the frame, its record of up to 40
+//                          bytes included, fits ASPEN_NET_MAX_FRAME)
 //   ASPEN_NET_MAX_FRAME    hard per-frame payload ceiling; a peer
 //                          announcing more is a protocol violation
 //                          (default 64 MiB)
@@ -75,13 +75,14 @@
 //
 // Wire aggregation fabric (aspen::agg; see docs/AGG.md). Read by the same
 // net::apply_env pass at every region entry:
-//   ASPEN_AGG              non-zero arms per-peer coalescing: queued eager
-//                          frames pack into one bounded buffer per syscall
-//                          (and one kShmBatch ring record on shm), flushed
-//                          on the watermarks below (default 0 = off)
+//   ASPEN_AGG              non-zero arms per-peer coalescing: eager records
+//                          batch per peer and ship as one socket frame (or
+//                          one ring record on shm), flushed on the
+//                          watermarks below (default 0 = off)
 //   ASPEN_AGG_BYTES        byte watermark: flush once the open batch would
-//                          exceed this many queued bytes; clamped so one
-//                          maximal eager frame always fits (default 64 KiB)
+//                          exceed this many bytes; clamped so one maximal
+//                          record always fits and a batch never exceeds
+//                          ASPEN_NET_MAX_FRAME (default 64 KiB)
 //   ASPEN_AGG_FRAMES       frame-count watermark: flush after this many
 //                          coalesced frames (default 128, min 1)
 //   ASPEN_AGG_FLUSH_US     age watermark in microseconds — the wall-clock

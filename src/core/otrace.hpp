@@ -10,10 +10,11 @@
 //
 //   id = (rank << 48) | local_seq
 //
-// carried across its entire causal chain: the eager AM frame (wire protocol
-// v5 adds a trace word to every am_eager body), the RTS->CTS->DATA
-// rendezvous legs (rdzv_body.trace, then keyed by token), shm ring records,
-// agg-coalesced sub-frames, remote handler execution (reply AMs inherit the
+// carried across its entire causal chain: the AM record (wire protocol v6:
+// an optional trace word after the record header, present only when
+// sampled) in eager frames, shm ring records and aggregation batches, the
+// RTS->CTS->DATA rendezvous legs (in the RTS record, then keyed by the
+// message seq), remote handler execution (reply AMs inherit the
 // id through the execute() scope), and the final cx_state fulfillment —
 // eager-inline or deferred through an op_record, including the cross-persona
 // LPC hop.
@@ -32,8 +33,8 @@
 //
 // With ASPEN_TELEMETRY compiled out the whole subsystem compiles to
 // nothing: ids are always 0, scopes and notes are empty inlines, and the
-// ring is never allocated. The wire still carries the (zero) trace word so
-// ON and OFF builds interoperate frame-for-frame.
+// ring is never allocated. Records then simply omit the trace word, which
+// every decoder accepts, so ON and OFF builds interoperate.
 #pragma once
 
 #include <cstddef>

@@ -134,19 +134,19 @@ struct shm_config {
 };
 
 /// Tunables of the small-message aggregation layer (`aspen::agg`,
-/// docs/AGG.md): per-peer coalescing of queued eager frames into one
-/// syscall (tcp) or one batch ring record (shm). Each knob is overridable
-/// through the ASPEN_AGG* environment family unless net_config::honor_env
-/// is cleared. Aggregation never reorders: frames accumulate in seq order
-/// and any non-eager traffic to a peer flushes everything queued ahead of
-/// it, so the staged-delivery bit-identity guarantees are unaffected.
+/// docs/AGG.md): per-peer batching of eager records into one socket frame
+/// or one shm ring record. Each knob is overridable through the ASPEN_AGG*
+/// environment family unless net_config::honor_env is cleared. Aggregation
+/// never reorders: records accumulate in seq order and any non-eager
+/// traffic to a peer ships everything staged ahead of it, so the
+/// staged-delivery bit-identity guarantees are unaffected.
 struct agg_config {
   /// Master switch. Env: ASPEN_AGG (1 enables).
   bool enabled = false;
   /// Flush a peer's aggregation buffer once this many queued bytes
   /// (headers included) are pending. Env: ASPEN_AGG_BYTES.
   std::size_t max_bytes = std::size_t{64} << 10;
-  /// Flush once this many eager frames are queued. Env: ASPEN_AGG_FRAMES.
+  /// Flush once this many eager records are staged. Env: ASPEN_AGG_FRAMES.
   std::size_t max_frames = 128;
   /// Progress-tick age watermark: a batch older than this is flushed by the
   /// next poll even if under the size/count watermarks, bounding the extra
@@ -161,7 +161,8 @@ struct agg_config {
 struct net_config {
   /// Largest AM payload sent inline in a single eager frame. Larger
   /// payloads negotiate a rendezvous (RTS/CTS/DATA) transfer instead.
-  /// Clamped so the frame (24-byte eager prefix included) fits max_frame.
+  /// Clamped so the frame (its up-to-40-byte record included) fits
+  /// max_frame.
   /// Env: ASPEN_NET_EAGER_MAX.
   std::size_t eager_max = std::size_t{8} << 10;
   /// Hard ceiling on any single frame's payload length; a peer announcing

@@ -80,6 +80,13 @@ std::uint64_t read_u64(const std::byte* p) {
   return x;
 }
 
+void raise_high_water(std::atomic<std::size_t>& hw, std::size_t depth) {
+  std::size_t cur = hw.load(std::memory_order_relaxed);
+  while (depth > cur &&
+         !hw.compare_exchange_weak(cur, depth, std::memory_order_relaxed)) {
+  }
+}
+
 }  // namespace
 
 bool endpoint::launched() { return std::getenv(kEnvRank) != nullptr; }
@@ -118,7 +125,8 @@ void endpoint::refresh_region_tunables(const gex::net_config& cfg) noexcept {
   cfg_.agg = cfg.agg;
   cfg_.sendq_max = cfg.sendq_max;
   agg_on_ = cfg.agg.enabled;
-  agg_max_bytes_ = cfg.agg.max_bytes;
+  // A batch ships as one frame (apply_env clamps this too).
+  agg_max_bytes_ = std::min(cfg.agg.max_bytes, cfg_.max_frame);
   agg_max_frames_ = cfg.agg.max_frames;
   agg_flush_ns_ = cfg.agg.flush_us * 1000u;
   sendq_max_ = cfg.sendq_max;
@@ -171,7 +179,7 @@ endpoint::endpoint(int rank, int nranks, gex::net_config cfg,
         if (r == rank_) continue;
         const peer& p = *peers_[static_cast<std::size_t>(r)];
         std::lock_guard<std::mutex> lk(p.mu);
-        st.sendq_bytes += p.out.size() - p.out_off + p.shm_agg.size();
+        st.sendq_bytes += p.out.size() - p.out_off + p.batch.size();
         st.staged_msgs += p.staged.size();
         if (p.out_busy_since_ns != 0 && now > p.out_busy_since_ns) {
           const std::uint64_t age = now - p.out_busy_since_ns;
@@ -198,9 +206,7 @@ endpoint::~endpoint() {
   // Best-effort clean-shutdown marker so peers can distinguish our EOF
   // from a crash. The quiescence protocol has already drained real
   // traffic; 24 header bytes fit any live socket buffer.
-  frame_header bye{};
-  bye.kind = static_cast<std::uint16_t>(frame_kind::bye);
-  bye.src = rank_;
+  const frame_header bye = header(frame_kind::bye);
   for (int r = 0; r < nranks_; ++r) {
     peer& p = peer_of(r);
     if (r == rank_ || !p.sock.valid() || p.departed) continue;
@@ -263,10 +269,7 @@ void endpoint::bootstrap(std::uint64_t segment_bytes) {
   hb.pid = static_cast<std::int32_t>(::getpid());
   hb.shm_ok = shm_ok_ ? 1 : 0;
   hb.host_id = host_identity();
-  frame_header hh{};
-  hh.kind = static_cast<std::uint16_t>(frame_kind::hello);
-  hh.src = rank_;
-  write_frame_blocking(rdzv.get(), hh, &hb, sizeof hb);
+  write_frame_blocking(rdzv.get(), header(frame_kind::hello), &hb, sizeof hb);
 
   frame table = read_frame_blocking(rdzv.get(), 1u << 20);
   if (table.kind() != frame_kind::table ||
@@ -298,9 +301,7 @@ void endpoint::bootstrap(std::uint64_t segment_bytes) {
   rdzv.reset();  // launcher tracks liveness via waitpid from here on
 
   // Full mesh: connect to every lower rank, accept every higher one.
-  frame_header ih{};
-  ih.kind = static_cast<std::uint16_t>(frame_kind::ident);
-  ih.src = rank_;
+  const frame_header ih = header(frame_kind::ident);
   for (int j = 0; j < rank_; ++j) {
     fd_handle s = connect_loopback(ports[static_cast<std::size_t>(j)]);
     write_frame_blocking(s.get(), ih, nullptr, 0);
@@ -349,7 +350,7 @@ void endpoint::bootstrap_shm(const std::vector<std::uint64_t>& host_ids,
   shm_eager_max_ = cfg_.shm.eager_max != 0 ? cfg_.shm.eager_max
                                            : cfg_.eager_max;
   if (shm_eager_max_ > msg_cap / 4) shm_eager_max_ = msg_cap / 4;
-  // A full ring re-sends staged records as eager socket frames.
+  // A full ring ships its batch as one eager socket frame.
   const std::size_t eager_limit = eager_payload_limit(cfg_.max_frame);
   if (shm_eager_max_ > eager_limit) shm_eager_max_ = eager_limit;
   shm_bulk_max_ = mp->inbound_bulk(rank_).capacity() / 2;
@@ -424,12 +425,8 @@ void endpoint::clock_sync_with_rank0() {
   std::int64_t best_rtt = std::numeric_limits<std::int64_t>::max();
   std::int64_t best_theta = 0;
   for (int i = 0; i < kClockProbes; ++i) {
-    frame_header ph{};
-    ph.kind = static_cast<std::uint16_t>(frame_kind::clock_probe);
-    ph.src = rank_;
-    ph.seq = static_cast<std::uint64_t>(i);
     const auto t0 = static_cast<std::int64_t>(mono_ns());
-    write_frame_blocking(fd, ph, nullptr, 0);
+    write_frame_blocking(fd, header(frame_kind::clock_probe, i), nullptr, 0);
     frame r = read_frame_blocking(fd, 4096);
     const auto t1 = static_cast<std::int64_t>(mono_ns());
     if (r.kind() != frame_kind::clock_reply ||
@@ -460,12 +457,9 @@ void endpoint::serve_clock_probes(int fd) {
       aspen::fatal("net: expected a clock probe during bootstrap, got %s",
                    kind_name(f.kind()));
     }
-    frame_header rh{};
-    rh.kind = static_cast<std::uint16_t>(frame_kind::clock_reply);
-    rh.src = rank_;
-    rh.seq = f.hdr.seq;
     const std::uint64_t now = mono_ns();
-    write_frame_blocking(fd, rh, &now, sizeof now);
+    write_frame_blocking(fd, header(frame_kind::clock_reply, f.hdr.seq), &now,
+                         sizeof now);
   }
 }
 
@@ -496,102 +490,47 @@ void endpoint::flush_locked(peer& p, int target) {
                 p.out.begin() + static_cast<std::ptrdiff_t>(p.out_off));
     p.out_off = 0;
   }
-  const std::size_t depth = p.out.size() - p.out_off;
-  std::size_t hw = sendq_high_water_.load(std::memory_order_relaxed);
-  while (depth > hw && !sendq_high_water_.compare_exchange_weak(
-                           hw, depth, std::memory_order_relaxed)) {
-  }
+  raise_high_water(sendq_high_water_, p.out.size() - p.out_off);
 }
 
-void endpoint::agg_note_flush_locked(peer& p,
-                                     telemetry::counter trigger) noexcept {
-  if (p.agg_frames == 0) return;
-  // Frames beyond a batch of one genuinely shared their syscall with
-  // others; a batch of one is just a deferred single send.
-  if (p.agg_frames > 1)
-    telemetry::count(telemetry::counter::agg_frames_coalesced,
-                     static_cast<std::uint64_t>(p.agg_frames));
-  telemetry::count(trigger);
-  if (telemetry::compiled_in() && p.agg_open_ns != 0)
-    telemetry::note_latency(telemetry::lat_stream::agg_batch_fill,
-                            mono_ns() - p.agg_open_ns);
-  p.agg_frames = 0;
-  p.agg_open_ns = 0;
-  p.agg_seen_frames = 0;
-}
-
-void endpoint::agg_flush_locked(peer& p, int target,
-                                telemetry::counter trigger) {
-  agg_note_flush_locked(p, trigger);
-  flush_locked(p, target);
-}
-
-void endpoint::shm_agg_flush_locked(peer& p, int target,
-                                    telemetry::counter trigger) {
-  if (p.shm_agg_frames == 0) return;
-  const std::size_t frames = p.shm_agg_frames;
-  const std::size_t payload_bytes =
-      p.shm_agg.size() - frames * sizeof(shm_rec_hdr);
-  // Batch header: seq of the leading sub-record (informational — each
-  // sub-record carries its own), handler_delta repurposed as the count.
-  shm_rec_hdr bh;
-  std::memcpy(&bh, p.shm_agg.data(), sizeof bh);
-  bh.handler_delta = frames;
-  bh.send_ns = 0;
-  bh.flags = kShmBatch;
-  bh.len = static_cast<std::uint32_t>(p.shm_agg.size());
-  if (p.shm_out_msg.try_push2(&bh, sizeof bh, p.shm_agg.data(),
-                              p.shm_agg.size())) {
-    telemetry::count(telemetry::counter::shm_msgs_sent,
-                     static_cast<std::uint64_t>(frames));
-    telemetry::count(telemetry::counter::shm_bytes_sent,
-                     static_cast<std::uint64_t>(payload_bytes));
-    if (frames > 1)
-      telemetry::count(telemetry::counter::agg_frames_coalesced,
-                       static_cast<std::uint64_t>(frames));
-    telemetry::count(trigger);
-    if (telemetry::compiled_in() && p.shm_agg_open_ns != 0)
-      telemetry::note_latency(telemetry::lat_stream::agg_batch_fill,
-                              mono_ns() - p.shm_agg_open_ns);
-    const std::size_t depth =
-        p.shm_out_msg.depth_bytes() + p.shm_out_bulk.depth_bytes();
-    std::size_t hw = shm_ring_high_water_.load(std::memory_order_relaxed);
-    while (depth > hw && !shm_ring_high_water_.compare_exchange_weak(
-                             hw, depth, std::memory_order_relaxed)) {
-    }
+bool endpoint::ship_batch_locked(peer& p, int target,
+                                 telemetry::counter trigger) {
+  const std::size_t frames = p.batch_frames;
+  if (frames == 0) return false;
+  const bool ring = shm_peer(target);
+  const bool pushed =
+      ring && p.shm_out_msg.try_push(p.batch.data(), p.batch.size());
+  if (pushed) {
+    telemetry::count(telemetry::counter::shm_msgs_sent, frames);
+    telemetry::count(telemetry::counter::shm_bytes_sent, p.batch_payload);
+    raise_high_water(shm_ring_high_water_, p.shm_out_msg.depth_bytes() +
+                                               p.shm_out_bulk.depth_bytes());
   } else {
-    // Ring full: re-route every staged sub-record as an eager socket frame.
-    // The seqs travel with them, so the receiver's staged map re-merges the
-    // two channels in order.
-    telemetry::count(telemetry::counter::shm_ring_full);
-    const std::byte* q = p.shm_agg.data();
-    const std::byte* end = q + p.shm_agg.size();
-    std::vector<std::byte> body;
-    while (q != end) {
-      shm_rec_hdr sr;
-      std::memcpy(&sr, q, sizeof sr);
-      telemetry::count(telemetry::counter::net_eager_sent);
-      frame_header h{};
-      h.kind = static_cast<std::uint16_t>(frame_kind::am_eager);
-      h.src = rank_;
-      h.seq = sr.seq;
-      eager_body eb;
-      eb.handler_delta = sr.handler_delta;
-      eb.send_ns = sr.send_ns;
-      eb.trace = sr.trace;
-      body.resize(kEagerPrefixBytes + sr.len);
-      std::memcpy(body.data(), &eb, sizeof eb);
-      if (sr.len != 0)
-        std::memcpy(body.data() + kEagerPrefixBytes, q + sizeof sr, sr.len);
-      encode_frame(p.out, h, body.data(), body.size());
-      q += sizeof sr + sr.len;
+    // Off the ring, or the ring is full: the same bytes ship as one eager
+    // socket frame. Every record keeps its seq, so the receiver's staged
+    // map re-merges the two channels in order.
+    if (ring) {
+      telemetry::count(telemetry::counter::shm_ring_full);
+      telemetry::count(telemetry::counter::net_eager_sent, frames);
     }
-    agg_flush_locked(p, target, trigger);
+    encode_frame(p.out, header(frame_kind::am_eager), p.batch.data(),
+                 p.batch.size());
   }
-  p.shm_agg.clear();
-  p.shm_agg_frames = 0;
-  p.shm_agg_open_ns = 0;
-  p.shm_agg_seen_frames = 0;
+  if (agg_on_) {
+    // Records beyond a batch of one genuinely shared their syscall or ring
+    // push with others; a batch of one is just a deferred single send.
+    if (frames > 1)
+      telemetry::count(telemetry::counter::agg_frames_coalesced, frames);
+    telemetry::count(trigger);
+    if (telemetry::compiled_in())
+      telemetry::note_latency(telemetry::lat_stream::agg_batch_fill,
+                              mono_ns() - p.batch_open_ns);
+  }
+  p.batch.clear();
+  p.batch_frames = 0;
+  p.batch_payload = 0;
+  p.batch_seen_frames = 0;
+  return pushed;
 }
 
 void endpoint::park_sendq(gex::runtime& rt, peer& p, int target) {
@@ -635,10 +574,10 @@ void endpoint::enqueue_frame(peer& p, int target, const frame_header& hdr,
     sent_to_[static_cast<std::size_t>(target)].fetch_add(
         1, std::memory_order_relaxed);
   std::lock_guard<std::mutex> lk(p.mu);
+  // Control traffic ships any batch staged ahead of it, then flushes both.
+  ship_batch_locked(p, target, telemetry::counter::agg_flush_forced);
   encode_frame(p.out, hdr, payload, len);
-  // Control traffic flushes any coalescing batch queued ahead of it — one
-  // buffer, one ordered flush.
-  agg_flush_locked(p, target, telemetry::counter::agg_flush_forced);
+  flush_locked(p, target);
 }
 
 void endpoint::send_am(gex::runtime& rt, int target, gex::am_message msg) {
@@ -650,30 +589,31 @@ void endpoint::send_am(gex::runtime& rt, int target, gex::am_message msg) {
         rank_, target);
   }
   const std::size_t len = msg.size();
-  const std::uint64_t delta =
-      encode_handler(msg.handler(), text_anchor());
+  const std::byte* payload = msg.payload();
   telemetry::count(telemetry::counter::net_msgs_sent);
   sent_to_[static_cast<std::size_t>(target)].fetch_add(
       1, std::memory_order_relaxed);
 
+  am_record rec;
+  rec.handler_delta = encode_handler(msg.handler(), text_anchor());
+  rec.len = static_cast<std::uint32_t>(len);
   // Send timestamp in rank 0's clock base, so the receiver can compute
-  // wire latency by subtracting its own normalized clock. Always written
-  // (0 when telemetry is compiled out) so the frame layout never varies
-  // by build configuration.
-  const std::uint64_t send_ns =
+  // wire latency by subtracting its own normalized clock. 0 (and so left
+  // off the record) when telemetry is compiled out.
+  rec.send_ns =
       telemetry::compiled_in()
           ? static_cast<std::uint64_t>(static_cast<std::int64_t>(mono_ns()) -
                                        clock_offset_ns_)
           : 0;
+  rec.trace = msg.trace();
 
   if (sendq_max_ != 0) park_sendq(rt, p, target);
 
   std::lock_guard<std::mutex> lk(p.mu);
-  const std::uint64_t seq = p.next_send_seq++;
+  rec.seq = p.next_send_seq++;
   // otrace wire edge: one flow id per (src, dst, seq); the matching
   // wire_deliver on the receiver records the same id (see process_frame).
-  const std::uint64_t trace = msg.trace();
-  const std::uint64_t fid = flow_id(rank_, target, seq);
+  const std::uint64_t fid = flow_id(rank_, target, rec.seq);
   telemetry::trace_flow("wire_msg", "net", /*begin=*/true, fid);
 
   // Shared-memory fast path: same-host peer with a wired ring pair and an
@@ -681,131 +621,79 @@ void endpoint::send_am(gex::runtime& rt, int target, gex::am_message msg) {
   // channel carries the message, and the receiver's staged map re-merges
   // both channels, so per-peer delivery order survives a mid-stream
   // fallback (full ring -> socket). Never blocks: a ring without space
-  // falls through to the socket path below.
-  if (shm_region_active_ && p.shm_active) {
-    shm_rec_hdr rh;
-    rh.seq = seq;
-    rh.handler_delta = delta;
-    rh.send_ns = send_ns;
-    rh.trace = trace;
-    rh.len = static_cast<std::uint32_t>(len);
-    // Aggregating path: stage the record into the peer's shm batch; it
-    // ships as ONE kShmBatch ring record on a size / count watermark (or
-    // the pump's age watermark). The whole batch record must stay pushable,
-    // so its bound is the byte watermark clamped to half the ring.
-    if (agg_on_ && len <= shm_eager_max_) {
-      const std::size_t off = p.shm_agg.size();
-      p.shm_agg.resize(off + sizeof rh + len);
-      std::memcpy(p.shm_agg.data() + off, &rh, sizeof rh);
-      if (len != 0)
-        std::memcpy(p.shm_agg.data() + off + sizeof rh, msg.payload(), len);
-      otrace::note_id(trace, otrace::stage::agg_stage, fid);
-      if (p.shm_agg_frames++ == 0) p.shm_agg_open_ns = mono_ns();
-      const std::size_t batch_cap =
-          std::min(agg_max_bytes_, shm_msg_cap_ / 2 - sizeof rh);
-      if (p.shm_agg.size() + shm_eager_max_ + sizeof rh >= batch_cap)
-        shm_agg_flush_locked(p, target,
-                             telemetry::counter::agg_flush_bytes);
-      else if (p.shm_agg_frames >= agg_max_frames_)
-        shm_agg_flush_locked(p, target,
-                             telemetry::counter::agg_flush_frames);
-      return;
-    }
-    // A message that cannot join the batch (bulk-sized or aggregation off)
-    // flushes any staged batch first, keeping ring delivery near-FIFO.
-    shm_agg_flush_locked(p, target, telemetry::counter::agg_flush_forced);
-    bool pushed = false;
-    bool attempted = false;
-    if (len <= shm_eager_max_) {
-      attempted = true;
-      pushed = p.shm_out_msg.try_push2(&rh, sizeof rh, msg.payload(), len);
-    } else if (len <= shm_bulk_max_) {
-      attempted = true;
-      // Both-or-neither: reserve-check the pair before writing either, and
-      // push the bulk payload BEFORE its control record — the consumer
-      // acquiring the control record is then guaranteed to find the
-      // payload (release-store chain across the two rings).
-      if (p.shm_out_bulk.can_push(len) && p.shm_out_msg.can_push(sizeof rh)) {
-        rh.flags = kShmBulk;
-        pushed = p.shm_out_bulk.try_push(msg.payload(), len) &&
-                 p.shm_out_msg.try_push(&rh, sizeof rh);
-        if (pushed)
-          telemetry::count(telemetry::counter::shm_bulk_staged);
-      }
-    }
-    if (pushed) {
-      otrace::note_id(trace, otrace::stage::shm_push, fid);
+  // falls back to the socket.
+  const bool ring = shm_peer(target);
+  if (ring && len > shm_eager_max_ && len <= shm_bulk_max_) {
+    // Bulk ring: payload to the bulk ring, a detached record to the message
+    // ring. It never joins a batch (the record must not reach the socket
+    // without its payload), so the batch ahead of it ships first. Both or
+    // neither: reserve-check the pair, then push the payload BEFORE its
+    // record so the consumer acquiring the record finds the payload.
+    ship_batch_locked(p, target, telemetry::counter::agg_flush_forced);
+    flush_locked(p, target);
+    rec.flags = kRecBulk;
+    std::byte ctl[kRecordMaxOverhead];
+    const std::size_t n = encode_record(ctl, rec, nullptr);
+    if (p.shm_out_bulk.can_push(len) && p.shm_out_msg.can_push(n) &&
+        p.shm_out_bulk.try_push(payload, len) &&
+        p.shm_out_msg.try_push(ctl, n)) {
+      otrace::note_id(rec.trace, otrace::stage::shm_push, fid);
+      telemetry::count(telemetry::counter::shm_bulk_staged);
       telemetry::count(telemetry::counter::shm_msgs_sent);
-      telemetry::count(telemetry::counter::shm_bytes_sent,
-                       static_cast<std::uint64_t>(len));
-      const std::size_t depth =
-          p.shm_out_msg.depth_bytes() + p.shm_out_bulk.depth_bytes();
-      std::size_t hw = shm_ring_high_water_.load(std::memory_order_relaxed);
-      while (depth > hw && !shm_ring_high_water_.compare_exchange_weak(
-                               hw, depth, std::memory_order_relaxed)) {
-      }
+      telemetry::count(telemetry::counter::shm_bytes_sent, len);
+      raise_high_water(shm_ring_high_water_, p.shm_out_msg.depth_bytes() +
+                                                 p.shm_out_bulk.depth_bytes());
       return;
     }
-    if (attempted)
-      telemetry::count(telemetry::counter::shm_ring_full);
-    // Payload too large for the rings, or rings full: the socket path
-    // below carries this message with the same seq.
+    telemetry::count(telemetry::counter::shm_ring_full);
+    rec.flags = 0;
   }
 
-  if (len <= cfg_.eager_max) {
-    telemetry::count(telemetry::counter::net_eager_sent);
-    frame_header h{};
-    h.kind = static_cast<std::uint16_t>(frame_kind::am_eager);
-    h.src = rank_;
-    h.seq = seq;
-    eager_body eb;
-    eb.handler_delta = delta;
-    eb.send_ns = send_ns;
-    eb.trace = trace;
-    std::vector<std::byte> body(kEagerPrefixBytes + len);
-    std::memcpy(body.data(), &eb, sizeof eb);
-    if (len != 0)
-      std::memcpy(body.data() + kEagerPrefixBytes, msg.payload(), len);
-    encode_frame(p.out, h, body.data(), body.size());
-    if (agg_on_) {
-      // Coalesce: leave the frame queued; it flushes with its batch on a
-      // watermark (here: bytes / frame count; pump() owns the age check).
-      otrace::note_id(trace, otrace::stage::agg_stage, fid);
-      if (p.agg_frames++ == 0) p.agg_open_ns = mono_ns();
-      if (p.out.size() - p.out_off >= agg_max_bytes_)
-        agg_flush_locked(p, target, telemetry::counter::agg_flush_bytes);
-      else if (p.agg_frames >= agg_max_frames_)
-        agg_flush_locked(p, target, telemetry::counter::agg_flush_frames);
-      return;
+  if (len <= cfg_.eager_max || (ring && len <= shm_eager_max_)) {
+    // Eager: encode the record straight into the batch. Aggregating, it
+    // ships on a byte / record-count watermark (pump() owns the tick and age
+    // checks) within the channel's bound; otherwise it ships at once.
+    const std::size_t need = kRecordMaxOverhead + len;  // at most
+    const std::size_t bound =
+        ring ? std::min(agg_max_bytes_, shm_msg_cap_ / 2) : agg_max_bytes_;
+    if (agg_on_ && p.batch_frames != 0 && p.batch.size() + need > bound) {
+      ship_batch_locked(p, target, telemetry::counter::agg_flush_bytes);
+      flush_locked(p, target);
     }
-    otrace::note_id(trace, otrace::stage::wire_eager, fid);
-  } else {
-    // Rendezvous: park the payload until the receiver grants a CTS, so a
-    // large transfer never floods a peer that is not ready for it.
-    telemetry::count(telemetry::counter::net_rdzv_sent);
-    const std::uint32_t token = p.next_token++;
-    pending_rdzv pr;
-    pr.seq = seq;
-    pr.trace = trace;
-    pr.bytes.assign(msg.payload(), msg.payload() + len);
-    p.rdzv_out.emplace(token, std::move(pr));
-    rdzv_body rb;
-    rb.token = token;
-    rb.handler_delta = delta;
-    rb.total_len = len;
-    rb.send_ns = send_ns;
-    rb.trace = trace;
-    otrace::note_id(trace, otrace::stage::wire_rts, fid);
-    frame_header h{};
-    h.kind = static_cast<std::uint16_t>(frame_kind::am_rts);
-    h.src = rank_;
-    h.aux = token;
-    h.seq = seq;
-    encode_frame(p.out, h, &rb, sizeof rb);
+    const std::size_t off = p.batch.size();
+    p.batch.resize(off + need);
+    p.batch.resize(off + encode_record(p.batch.data() + off, rec, payload));
+    p.batch_payload += len;
+    if (p.batch_frames++ == 0 && agg_on_) p.batch_open_ns = mono_ns();
+    // A socket peer's message is eager whatever the flush does; a ring
+    // peer's is counted once its batch picks a channel.
+    if (!ring) telemetry::count(telemetry::counter::net_eager_sent);
+    if (agg_on_) otrace::note_id(rec.trace, otrace::stage::agg_stage, fid);
+    if (!agg_on_ || p.batch_frames >= agg_max_frames_) {
+      const bool pushed = ship_batch_locked(
+          p, target, telemetry::counter::agg_flush_frames);
+      if (!agg_on_)
+        otrace::note_id(rec.trace,
+                        pushed ? otrace::stage::shm_push
+                               : otrace::stage::wire_eager,
+                        fid);
+      flush_locked(p, target);
+    }
+    return;
   }
-  // An RTS (or any non-coalesced frame) flushes the batch queued ahead of
-  // it along with itself — one buffer, one ordered flush.
-  agg_flush_locked(p, target, telemetry::counter::agg_flush_forced);
+
+  // Rendezvous: park the payload until the receiver grants a CTS, so a
+  // large transfer never floods a peer that is not ready for it. The RTS is
+  // the record with its payload detached; its seq keys the exchange.
+  telemetry::count(telemetry::counter::net_rdzv_sent);
+  p.rdzv_out.emplace(rec.seq, std::move(msg));
+  otrace::note_id(rec.trace, otrace::stage::wire_rts, fid);
+  // The RTS ships the batch staged ahead of it, then flushes both.
+  ship_batch_locked(p, target, telemetry::counter::agg_flush_forced);
+  std::byte rts[kRecordMaxOverhead];
+  encode_frame(p.out, header(frame_kind::am_rts), rts,
+               encode_record(rts, rec, nullptr));
+  flush_locked(p, target);
 }
 
 // ---------------------------------------------------------------------------
@@ -824,29 +712,22 @@ std::size_t endpoint::pump(gex::runtime& rt) {
     if (!p.sock.valid()) continue;
     {
       std::lock_guard<std::mutex> lk(p.mu);
-      // Progress-tick + age watermarks. A batch that gained no frame since
-      // the previous tick has stopped growing — holding it longer buys no
-      // coalescing and only adds latency (a blocked single-op waiter calls
-      // progress immediately, so its frame goes out on the second tick, at
-      // native round-trip cost). The wall-clock age watermark backstops
-      // injector threads that stage between two master-thread ticks.
-      // Residual bytes with no open batch flush unconditionally.
-      if (p.agg_frames != 0) {
-        if (p.agg_frames == p.agg_seen_frames ||
-            mono_ns() - p.agg_open_ns >= agg_flush_ns_)
-          agg_flush_locked(p, r, telemetry::counter::agg_flush_age);
+      // Progress-tick + age watermarks. A batch that gained no record
+      // since the previous tick has stopped growing — holding it longer
+      // buys no coalescing and only adds latency (a blocked single-op
+      // waiter calls progress immediately, so its record goes out on the
+      // second tick, at native round-trip cost). The wall-clock age
+      // watermark backstops injector threads that stage between two
+      // master-thread ticks. Queued socket bytes (a shipped batch or a
+      // partial-write residue) flush unconditionally.
+      if (p.batch_frames != 0) {
+        if (p.batch_frames == p.batch_seen_frames ||
+            mono_ns() - p.batch_open_ns >= agg_flush_ns_)
+          ship_batch_locked(p, r, telemetry::counter::agg_flush_age);
         else
-          p.agg_seen_frames = p.agg_frames;
-      } else if (p.out_off < p.out.size()) {
-        agg_flush_locked(p, r, telemetry::counter::agg_flush_age);
+          p.batch_seen_frames = p.batch_frames;
       }
-      if (p.shm_agg_frames != 0) {
-        if (p.shm_agg_frames == p.shm_agg_seen_frames ||
-            mono_ns() - p.shm_agg_open_ns >= agg_flush_ns_)
-          shm_agg_flush_locked(p, r, telemetry::counter::agg_flush_age);
-        else
-          p.shm_agg_seen_frames = p.shm_agg_frames;
-      }
+      if (p.out_off < p.out.size()) flush_locked(p, r);
     }
     if (p.shm_active) work += pump_shm_peer(rt, r);
   }
@@ -869,6 +750,33 @@ void endpoint::on_bytes(int rank, const void* data, std::size_t len) {
 
 void endpoint::on_eof(int rank) { peer_of(rank).eof_pending = true; }
 
+template <run_source Src>
+bool endpoint::stage_run(peer& p, int rank,
+                         const std::vector<std::byte>& run) {
+  constexpr bool via_shm = Src == run_source::ring;
+  return decode_run<Src>(
+      run.data(), run.size(),
+      [&](const am_record& r, const std::byte* payload) {
+        if constexpr (via_shm) {
+          telemetry::count(telemetry::counter::shm_msgs_received);
+          telemetry::count(telemetry::counter::shm_bytes_received, r.len);
+        }
+        const gex::am_handler h =
+            decode_handler(r.handler_delta, text_anchor());
+        gex::am_message msg = payload != nullptr
+                                  ? gex::am_message(h, rank, payload, r.len)
+                                  : gex::am_message(h, rank, r.len);
+        // A detached ring record is a bulk one: the producer published its
+        // payload to the bulk ring before the record, so it is present.
+        if (payload == nullptr) p.shm_in_bulk.pop_front(msg.payload());
+        msg.set_trace(r.trace);
+        p.staged.emplace(r.seq, staged_am{std::move(msg), r.send_ns,
+                                          flow_id(rank, rank_, r.seq),
+                                          via_shm});
+      },
+      via_shm ? p.shm_in_bulk.front_size() : 0);
+}
+
 std::size_t endpoint::pump_shm_peer(gex::runtime& rt, int rank) {
   peer& p = peer_of(rank);
   std::size_t work = 0;
@@ -876,93 +784,12 @@ std::size_t endpoint::pump_shm_peer(gex::runtime& rt, int rank) {
   for (;;) {
     const std::size_t sz = p.shm_in_msg.front_size();
     if (sz == 0) break;
-    if (sz < sizeof(shm_rec_hdr)) {
-      aspen::fatal("net: runt shm record (%zu bytes) on the rank %d -> %d "
-                   "ring",
-                   sz, rank, rank_);
-    }
     rec.resize(sz);
     p.shm_in_msg.pop_front(rec.data());
-    shm_rec_hdr rh;
-    std::memcpy(&rh, rec.data(), sizeof rh);
-    if ((rh.flags & kShmBatch) != 0) {
-      // One ring record carrying rh.handler_delta coalesced sub-records,
-      // each [shm_rec_hdr][payload] with its own seq.
-      if (sz != sizeof rh + rh.len) {
-        aspen::fatal(
-            "net: shm batch record length mismatch from rank %d (%zu "
-            "record bytes, %u batch bytes)",
-            rank, sz, rh.len);
-      }
-      std::uint64_t remaining = rh.handler_delta;
-      const std::byte* q = rec.data() + sizeof rh;
-      const std::byte* end = rec.data() + sz;
-      while (q != end) {
-        shm_rec_hdr sr;
-        if (remaining == 0 ||
-            static_cast<std::size_t>(end - q) < sizeof sr) {
-          remaining = 1;  // force the mismatch diagnostic below
-          break;
-        }
-        std::memcpy(&sr, q, sizeof sr);
-        if (sr.flags != 0 ||
-            static_cast<std::size_t>(end - q) < sizeof sr + sr.len) {
-          remaining = 1;
-          break;
-        }
-        telemetry::count(telemetry::counter::shm_msgs_received);
-        telemetry::count(telemetry::counter::shm_bytes_received, sr.len);
-        gex::am_message msg(decode_handler(sr.handler_delta, text_anchor()),
-                            rank, q + sizeof sr, sr.len);
-        msg.set_trace(sr.trace);
-        p.staged.emplace(sr.seq,
-                         staged_am{std::move(msg), sr.send_ns,
-                                   flow_id(rank, rank_, sr.seq), true});
-        q += sizeof sr + sr.len;
-        --remaining;
-        ++work;
-      }
-      if (remaining != 0) {
-        aspen::fatal("net: malformed shm batch from rank %d (announced "
-                     "%" PRIu64 " sub-records)",
-                     rank, rh.handler_delta);
-      }
-      continue;
-    }
-    telemetry::count(telemetry::counter::shm_msgs_received);
-    telemetry::count(telemetry::counter::shm_bytes_received, rh.len);
-    if ((rh.flags & kShmBulk) != 0) {
-      // The producer release-published the bulk payload before the control
-      // record, so the matching bulk record is guaranteed present.
-      const std::size_t bsz = p.shm_in_bulk.front_size();
-      if (bsz != rh.len) {
-        aspen::fatal(
-            "net: shm bulk record from rank %d does not match its control "
-            "record (%zu vs %u bytes)",
-            rank, bsz, rh.len);
-      }
-      std::vector<std::byte> payload(rh.len);
-      if (rh.len != 0) p.shm_in_bulk.pop_front(payload.data());
-      else p.shm_in_bulk.consume_front();
-      gex::am_message msg(decode_handler(rh.handler_delta, text_anchor()),
-                          rank, payload.data(), payload.size());
-      msg.set_trace(rh.trace);
-      p.staged.emplace(rh.seq,
-                       staged_am{std::move(msg), rh.send_ns,
-                                 flow_id(rank, rank_, rh.seq), true});
-    } else {
-      if (sz != sizeof rh + rh.len) {
-        aspen::fatal(
-            "net: shm record length mismatch from rank %d (%zu record "
-            "bytes for a %u-byte payload)",
-            rank, sz, rh.len);
-      }
-      gex::am_message msg(decode_handler(rh.handler_delta, text_anchor()),
-                          rank, rec.data() + sizeof rh, rh.len);
-      msg.set_trace(rh.trace);
-      p.staged.emplace(rh.seq,
-                       staged_am{std::move(msg), rh.send_ns,
-                                 flow_id(rank, rank_, rh.seq), true});
+    if (!stage_run<run_source::ring>(p, rank, rec)) {
+      aspen::fatal("net: malformed shm ring record (%zu bytes) on the rank "
+                   "%d -> %d ring",
+                   sz, rank, rank_);
     }
     ++work;
   }
@@ -976,29 +803,22 @@ void endpoint::idle_wait() noexcept {
   // bounded at 1 ms, instead of spinning: the scheduler hands the CPU to
   // the sender at once, and the first inbound byte wakes us.
   //
-  // Open coalescing batches are forced out first: a parked waiter may be
-  // waiting on replies to the very frames a batch is still holding.
-  if (agg_on_) {
-    for (int r = 0; r < nranks_; ++r) {
-      if (r == rank_) continue;
-      peer& p = peer_of(r);
-      if (!p.sock.valid()) continue;
-      std::lock_guard<std::mutex> lk(p.mu);
-      if (p.shm_agg_frames != 0)
-        shm_agg_flush_locked(p, r, telemetry::counter::agg_flush_forced);
-      if (p.agg_frames != 0)
-        agg_flush_locked(p, r, telemetry::counter::agg_flush_forced);
-    }
-  }
+  // Open batches are forced out first: a parked waiter may be waiting on
+  // replies to the very records a batch is still holding. A non-empty
+  // inbound shm ring IS progress waiting to happen: the caller pumps instead
+  // of parking on sockets that will never see those bytes.
+  bool ring_ready = false;
   for (int r = 0; r < nranks_; ++r) {
     if (r == rank_) continue;
-    const peer& p = peer_of(r);
-    // A non-empty inbound shm ring IS progress waiting to happen: return
-    // immediately so the caller pumps instead of parking on sockets that
-    // will never see those bytes.
-    if (p.shm_active && !p.shm_in_msg.empty()) return;
+    peer& p = peer_of(r);
+    if (agg_on_ && p.sock.valid()) {
+      std::lock_guard<std::mutex> lk(p.mu);
+      ship_batch_locked(p, r, telemetry::counter::agg_flush_forced);
+      flush_locked(p, r);
+    }
+    ring_ready = ring_ready || (p.shm_active && !p.shm_in_msg.empty());
   }
-  io_.idle_park();
+  if (!ring_ready) io_.idle_park();
 }
 
 std::size_t endpoint::drain_peer(gex::runtime& rt, int rank) {
@@ -1007,7 +827,7 @@ std::size_t endpoint::drain_peer(gex::runtime& rt, int rank) {
   std::size_t work = 0;
   frame f;
   while (p.dec && p.dec->try_next(f)) {
-    process_frame(rt, rank, std::move(f));
+    process_frame(rank, std::move(f));
     ++work;
   }
   if (p.dec && p.dec->in_error()) {
@@ -1033,107 +853,86 @@ std::size_t endpoint::drain_peer(gex::runtime& rt, int rank) {
   return work;
 }
 
-void endpoint::process_frame(gex::runtime& rt, int rank, frame&& f) {
+void endpoint::process_frame(int rank, frame&& f) {
   peer& p = peer_of(rank);
   switch (f.kind()) {
-    case frame_kind::am_eager: {
-      eager_body eb;
-      if (!decode_eager_prefix(f.payload.data(), f.payload.size(), &eb)) {
-        aspen::fatal("net: runt am_eager frame from rank %d (%zu payload "
-                     "bytes)",
+    case frame_kind::am_eager:
+      if (!stage_run<run_source::eager>(p, rank, f.payload)) {
+        aspen::fatal("net: malformed am_eager frame from rank %d (%zu "
+                     "payload bytes)",
                      rank, f.payload.size());
       }
-      const std::size_t len = f.payload.size() - kEagerPrefixBytes;
-      gex::am_message msg(decode_handler(eb.handler_delta, text_anchor()),
-                          rank, f.payload.data() + kEagerPrefixBytes, len);
-      msg.set_trace(eb.trace);
-      p.staged.emplace(f.hdr.seq,
-                       staged_am{std::move(msg), eb.send_ns,
-                                 flow_id(rank, rank_, f.hdr.seq), false});
       break;
-    }
     case frame_kind::am_rts: {
-      rdzv_body rb;
-      if (!decode_rdzv_body(f.payload.data(), f.payload.size(), &rb)) {
+      am_record rts;
+      if (!decode_run<run_source::rts>(
+              f.payload.data(), f.payload.size(),
+              [&rts](const am_record& r, const std::byte*) { rts = r; })) {
         aspen::fatal("net: malformed am_rts frame from rank %d (%zu "
                      "payload bytes)",
                      rank, f.payload.size());
       }
-      inbound_rdzv in;
-      in.seq = f.hdr.seq;
-      in.handler_delta = rb.handler_delta;
-      in.total_len = rb.total_len;
-      in.send_ns = rb.send_ns;
-      in.trace = rb.trace;
-      p.rdzv_in.emplace(rb.token, in);
+      p.rdzv_in.emplace(rts.seq, rts);
       // The RTS->CTS turn: the exporter salts this aux into the rts flow's
       // finish and the cts flow's start.
-      otrace::note_id(rb.trace, otrace::stage::wire_cts,
-                      flow_id(rank, rank_, f.hdr.seq));
-      frame_header cts{};
-      cts.kind = static_cast<std::uint16_t>(frame_kind::am_cts);
-      cts.src = rank_;
-      cts.aux = rb.token;
-      enqueue_frame(p, rank, cts, nullptr, 0, /*counted=*/false);
+      otrace::note_id(rts.trace, otrace::stage::wire_cts,
+                      flow_id(rank, rank_, rts.seq));
+      enqueue_frame(p, rank, header(frame_kind::am_cts, rts.seq), nullptr, 0,
+                    /*counted=*/false);
       break;
     }
     case frame_kind::am_cts: {
       std::lock_guard<std::mutex> lk(p.mu);
-      auto it = p.rdzv_out.find(f.hdr.aux);
+      auto it = p.rdzv_out.find(f.hdr.seq);
       if (it == p.rdzv_out.end()) break;  // duplicate CTS: ignore
       // The CTS->DATA turn, back on the initiator.
-      otrace::note_id(it->second.trace, otrace::stage::wire_data,
-                      flow_id(rank_, rank, it->second.seq));
-      frame_header dh{};
-      dh.kind = static_cast<std::uint16_t>(frame_kind::am_data);
-      dh.src = rank_;
-      dh.aux = f.hdr.aux;
-      dh.seq = it->second.seq;
-      // Close any open coalescing batch (a forced flush) and send what is
-      // queued, then queue the DATA frame behind it.
-      agg_flush_locked(p, rank, telemetry::counter::agg_flush_forced);
-      encode_frame(p.out, dh, it->second.bytes.data(),
-                   it->second.bytes.size());
+      otrace::note_id(it->second.trace(), otrace::stage::wire_data,
+                      flow_id(rank_, rank, f.hdr.seq));
+      // Ship the batch staged ahead of the DATA frame (a forced flush),
+      // then send both.
+      ship_batch_locked(p, rank, telemetry::counter::agg_flush_forced);
+      encode_frame(p.out, header(frame_kind::am_data, f.hdr.seq),
+                   it->second.payload(), it->second.size());
       flush_locked(p, rank);
       p.rdzv_out.erase(it);
       break;
     }
     case frame_kind::am_data: {
-      auto it = p.rdzv_in.find(f.hdr.aux);
-      if (it == p.rdzv_in.end() ||
-          it->second.total_len != f.payload.size()) {
+      auto it = p.rdzv_in.find(f.hdr.seq);
+      if (it == p.rdzv_in.end() || it->second.len != f.payload.size()) {
         aspen::fatal("net: rendezvous data from rank %d does not match its "
-                     "RTS (token %u)",
-                     rank, f.hdr.aux);
+                     "RTS (seq %" PRIu64 ")",
+                     rank, f.hdr.seq);
       }
-      gex::am_message msg(
-          decode_handler(it->second.handler_delta, text_anchor()), rank,
-          f.payload.data(), f.payload.size());
-      msg.set_trace(it->second.trace);
+      const am_record& rts = it->second;
+      gex::am_message msg(decode_handler(rts.handler_delta, text_anchor()),
+                          rank, f.payload.data(), f.payload.size());
+      msg.set_trace(rts.trace);
       // Pre-salt the delivery edge: release_staged records it as-is, and
       // the DATA leg's sender side staged the matching 's' under the same
       // salt.
-      p.staged.emplace(
-          it->second.seq,
-          staged_am{std::move(msg), it->second.send_ns,
-                    flow_id(rank, rank_, it->second.seq) ^
-                        otrace::kEdgeSaltData,
-                    false});
+      p.staged.emplace(rts.seq,
+                       staged_am{std::move(msg), rts.send_ns,
+                                 flow_id(rank, rank_, rts.seq) ^
+                                     otrace::kEdgeSaltData,
+                                 false});
       p.rdzv_in.erase(it);
       break;
     }
-    case frame_kind::coll_contrib: {
-      const std::uint64_t key = read_u64(f.payload.data());
-      const std::uint64_t seq = read_u64(f.payload.data() + 8);
-      coll_contribs_[{key, seq}][rank].assign(f.payload.begin() + 16,
-                                              f.payload.end());
-      break;
-    }
+    case frame_kind::coll_contrib:
     case frame_kind::coll_result: {
-      const std::uint64_t key = read_u64(f.payload.data());
-      const std::uint64_t seq = read_u64(f.payload.data() + 8);
-      coll_results_[{key, seq}].assign(f.payload.begin() + 16,
-                                       f.payload.end());
+      const bool contrib = f.kind() == frame_kind::coll_contrib;
+      coll_msg c;
+      if (!decode_coll(f.payload.data(), f.payload.size(), &c) ||
+          (contrib && c.entries.size() != 1)) {
+        aspen::fatal("net: malformed %s frame from rank %d (%zu payload "
+                     "bytes)",
+                     kind_name(f.kind()), rank, f.payload.size());
+      }
+      if (contrib)
+        coll_contribs_[{c.key, c.seq}][rank] = std::move(c.entries.front());
+      else
+        coll_results_[{c.key, c.seq}] = std::move(c.entries);
       break;
     }
     case frame_kind::async_arrive: {
@@ -1220,8 +1019,7 @@ bool endpoint::locally_unsettled() const noexcept {
     if (r == rank_) continue;
     const peer& p = *peers_[static_cast<std::size_t>(r)];
     std::lock_guard<std::mutex> lk(p.mu);
-    if (p.out_off < p.out.size()) return true;
-    if (p.shm_agg_frames != 0) return true;
+    if (p.out_off < p.out.size() || p.batch_frames != 0) return true;
     if (!p.rdzv_out.empty()) return true;
     if (!p.staged.empty() || !p.rdzv_in.empty()) return true;
     if (p.dec && p.dec->buffered() != 0) return true;
@@ -1251,58 +1049,33 @@ std::vector<std::vector<std::byte>> endpoint::exchange(
       if (it != coll_contribs_.end() && it->second.size() == m) break;
       progress();
     }
-    auto contribs = std::move(coll_contribs_[ck]);
-    coll_contribs_.erase(ck);
-    // Result payload: key, seq, then member-ordered (u32 len, bytes).
+    auto contribs = std::move(coll_contribs_.extract(ck).mapped());
+    for (std::size_t i = 0; i < m; ++i)
+      out[i] = std::move(contribs[members[i]]);
     std::vector<std::byte> res;
-    append_u64(res, key);
-    append_u64(res, seq);
-    for (std::size_t i = 0; i < m; ++i) {
-      auto& blob = contribs[members[i]];
-      const auto len32 = static_cast<std::uint32_t>(blob.size());
-      const std::size_t off = res.size();
-      res.resize(off + sizeof len32);
-      std::memcpy(res.data() + off, &len32, sizeof len32);
-      res.insert(res.end(), blob.begin(), blob.end());
-      out[i] = std::move(blob);
-    }
-    frame_header h{};
-    h.kind = static_cast<std::uint16_t>(frame_kind::coll_result);
-    h.src = rank_;
-    for (std::size_t i = 0; i < m; ++i) {
-      if (members[i] == rank_) continue;
-      enqueue_frame(peer_of(members[i]), members[i], h, res.data(),
-                    res.size(), /*counted=*/false);
+    encode_coll(res, key, seq, out);
+    for (const int r : members) {
+      if (r == rank_) continue;
+      enqueue_frame(peer_of(r), r, header(frame_kind::coll_result),
+                    res.data(), res.size(), /*counted=*/false);
     }
     return out;
   }
 
   std::vector<std::byte> body;
-  append_u64(body, key);
-  append_u64(body, seq);
-  body.insert(body.end(), mine.begin(), mine.end());
-  frame_header h{};
-  h.kind = static_cast<std::uint16_t>(frame_kind::coll_contrib);
-  h.src = rank_;
-  enqueue_frame(peer_of(coord), coord, h, body.data(), body.size(),
-                /*counted=*/false);
+  encode_coll(body, key, seq, {&mine, 1});
+  enqueue_frame(peer_of(coord), coord, header(frame_kind::coll_contrib),
+                body.data(), body.size(), /*counted=*/false);
   for (;;) {
     auto it = coll_results_.find(ck);
     if (it != coll_results_.end()) break;
     progress();
   }
-  std::vector<std::byte> res = std::move(coll_results_[ck]);
-  coll_results_.erase(ck);
-  const std::byte* q = res.data();
-  const std::byte* end = res.data() + res.size();
-  for (std::size_t i = 0; i < m; ++i) {
-    std::uint32_t len32 = 0;
-    if (q + sizeof len32 > end) break;
-    std::memcpy(&len32, q, sizeof len32);
-    q += sizeof len32;
-    if (q + len32 > end) break;
-    out[i].assign(q, q + len32);
-    q += len32;
+  out = std::move(coll_results_.extract(ck).mapped());
+  if (out.size() != m) {
+    aspen::fatal("net: collective result from rank %d holds %zu entries "
+                 "for %zu members",
+                 coord, out.size(), m);
   }
   return out;
 }
@@ -1321,13 +1094,10 @@ void endpoint::note_async_arrival(std::uint64_t epoch) {
   if (++count < nranks_) return;
   async_arrivals_.erase(epoch);
   async_done_epoch_.store(epoch + 1, std::memory_order_release);
-  frame_header h{};
-  h.kind = static_cast<std::uint16_t>(frame_kind::async_release);
-  h.src = rank_;
-  h.seq = epoch;
   for (int r = 0; r < nranks_; ++r) {
     if (r == rank_) continue;
-    enqueue_frame(peer_of(r), r, h, nullptr, 0, /*counted=*/true);
+    enqueue_frame(peer_of(r), r, header(frame_kind::async_release, epoch),
+                  nullptr, 0, /*counted=*/true);
   }
 }
 
@@ -1336,11 +1106,8 @@ void endpoint::async_arrive(std::uint64_t epoch) {
     note_async_arrival(epoch);
     return;
   }
-  frame_header h{};
-  h.kind = static_cast<std::uint16_t>(frame_kind::async_arrive);
-  h.src = rank_;
-  h.seq = epoch;
-  enqueue_frame(peer_of(0), 0, h, nullptr, 0, /*counted=*/true);
+  enqueue_frame(peer_of(0), 0, header(frame_kind::async_arrive, epoch),
+                nullptr, 0, /*counted=*/true);
 }
 
 // ---------------------------------------------------------------------------
@@ -1434,7 +1201,7 @@ telemetry::live::gauges endpoint::live_gauges() const {
     if (r == rank_) continue;
     const peer& p = *peers_[static_cast<std::size_t>(r)];
     std::lock_guard<std::mutex> lk(p.mu);
-    g.sendq_bytes += p.out.size() - p.out_off + p.shm_agg.size();
+    g.sendq_bytes += p.out.size() - p.out_off + p.batch.size();
     if (p.shm_active)
       g.sendq_bytes +=
           p.shm_out_msg.depth_bytes() + p.shm_out_bulk.depth_bytes();
@@ -1467,9 +1234,7 @@ void endpoint::maybe_push_telemetry(bool final_flush) {
   const telemetry::snapshot d = telemetry::live::take_update_delta();
   std::vector<std::byte> body;
   telemetry::live::encode_update(d, g, body);
-  frame_header h{};
-  h.kind = static_cast<std::uint16_t>(frame_kind::telemetry);
-  h.src = rank_;
+  frame_header h = header(frame_kind::telemetry);
   h.aux = final_flush ? 1u : 0u;
   // Uncounted: telemetry frames ride below the quiescence matrices so
   // periodic pushes can never perturb region-exit stability detection.
@@ -1488,7 +1253,7 @@ void endpoint::finish_region_telemetry(const progress_fn& progress) {
       {
         std::lock_guard<std::mutex> lk(p0.mu);
         if (p0.out_off >= p0.out.size()) return;
-        agg_flush_locked(p0, 0, telemetry::counter::agg_flush_forced);
+        flush_locked(p0, 0);
         if (p0.out_off >= p0.out.size()) return;
       }
       progress();

@@ -163,19 +163,6 @@ class endpoint final : public gex::wire_transport,
   endpoint(int rank, int nranks, gex::net_config cfg,
            std::size_t segment_bytes);
 
-  struct pending_rdzv {
-    std::uint64_t seq = 0;
-    std::uint64_t trace = 0;       ///< otrace id from the RTS (0 unsampled)
-    std::vector<std::byte> bytes;  ///< the AM payload (DATA frame body)
-  };
-  struct inbound_rdzv {
-    std::uint64_t seq = 0;
-    std::uint64_t handler_delta = 0;
-    std::uint64_t total_len = 0;
-    std::uint64_t send_ns = 0;  ///< from the RTS; rank-0-normalized
-    std::uint64_t trace = 0;    ///< otrace id from the RTS (0 unsampled)
-  };
-
   /// An in-order delivery slot: the decoded AM plus the sender's
   /// rank-0-normalized send timestamp (0 when untimed), so release can
   /// record wire send -> staged-delivery latency.
@@ -205,13 +192,13 @@ class endpoint final : public gex::wire_transport,
     /// watchdog's sendq-stall probe.
     std::uint64_t out_busy_since_ns = 0;
     std::uint64_t next_send_seq = 0;
-    std::uint32_t next_token = 1;
-    std::unordered_map<std::uint32_t, pending_rdzv> rdzv_out;
+    /// Rendezvous messages parked until the receiver's CTS, by seq.
+    std::unordered_map<std::uint64_t, gex::am_message> rdzv_out;
     // ---- receive side (pump/master thread only) ----
     std::unique_ptr<decoder> dec;
     std::uint64_t next_deliver_seq = 0;
     std::map<std::uint64_t, staged_am> staged;
-    std::unordered_map<std::uint32_t, inbound_rdzv> rdzv_in;
+    std::unordered_map<std::uint64_t, am_record> rdzv_in;  ///< RTS by seq
     // ---- shm channel (wired at bootstrap iff the fd exchange succeeded).
     // The outbound rings are produced under mu (same lock as `out`, so the
     // per-peer seq stays totally ordered across both channels); the inbound
@@ -221,42 +208,18 @@ class endpoint final : public gex::wire_transport,
     shm::spsc_ring shm_out_bulk;
     shm::spsc_ring shm_in_msg;
     shm::spsc_ring shm_in_bulk;
-    // ---- aggregation state (aspen::agg, docs/AGG.md; guarded by mu) ----
-    /// Eager frames sitting in `out` since the last flush. While non-zero,
-    /// the queue holds an open coalescing batch that pump() flushes only
-    /// once the age watermark passes; zero means any queued bytes are a
-    /// partial-write residue that flushes unconditionally.
-    std::size_t agg_frames = 0;
-    std::uint64_t agg_open_ns = 0;  ///< when the open batch's first frame queued
-    /// agg_frames as of the previous pump tick: a batch no new frame joined
+    // ---- the batch (guarded by mu; docs/AGG.md): a run of staged eager
+    // records that ships as one ring record or one am_eager frame ----
+    std::vector<std::byte> batch;
+    std::size_t batch_frames = 0;     ///< records staged in `batch`
+    std::size_t batch_payload = 0;    ///< their payload bytes
+    std::uint64_t batch_open_ns = 0;  ///< when the first record staged
+    /// batch_frames as of the previous pump tick: a batch no record joined
     /// across a full tick is done growing and flushes (the progress-tick
     /// watermark — it keeps single-op round trips at native latency while
-    /// burst injection, which queues many frames between ticks, coalesces).
-    std::size_t agg_seen_frames = 0;
-    /// Staged shm batch: concatenated [shm_rec_hdr][payload] sub-records
-    /// that ship as ONE kShmBatch ring record on a watermark.
-    std::vector<std::byte> shm_agg;
-    std::size_t shm_agg_frames = 0;
-    std::uint64_t shm_agg_open_ns = 0;
-    std::size_t shm_agg_seen_frames = 0;  ///< progress-tick watermark state
+    /// burst injection, which stages many records between ticks, batches).
+    std::size_t batch_seen_frames = 0;
   };
-
-  /// Record header carried in the shm message ring (followed inline by the
-  /// payload when `flags` lacks kShmBulk; payload rides the bulk ring
-  /// otherwise).
-  struct shm_rec_hdr {
-    std::uint64_t seq = 0;
-    std::uint64_t handler_delta = 0;
-    std::uint64_t send_ns = 0;
-    std::uint64_t trace = 0;  ///< otrace id (0 unsampled); always carried
-    std::uint32_t flags = 0;
-    std::uint32_t len = 0;
-  };
-  static constexpr std::uint32_t kShmBulk = 1u << 0;
-  /// Batch record: the payload is a run of `handler_delta` (repurposed as
-  /// the sub-record count) inline sub-records, each [shm_rec_hdr][payload]
-  /// with its own seq — one ring push carrying N coalesced AMs.
-  static constexpr std::uint32_t kShmBatch = 1u << 1;
 
   void bootstrap(std::uint64_t segment_bytes);
   /// Post-mesh bootstrap phase: exchange memfds with same-host peers over
@@ -266,6 +229,11 @@ class endpoint final : public gex::wire_transport,
                      const std::vector<std::uint8_t>& shm_ready,
                      int exchange_listen_fd);
   peer& peer_of(int rank) { return *peers_[static_cast<std::size_t>(rank)]; }
+  /// A header for a frame this rank sends.
+  [[nodiscard]] frame_header header(frame_kind k,
+                                    std::uint64_t seq = 0) const noexcept {
+    return {kMagic, static_cast<std::uint16_t>(k), rank_, 0, 0, seq};
+  }
 
   /// Rank > 0: estimate clock_offset_ns_ against rank 0 over the (still
   /// blocking) mesh socket during bootstrap.
@@ -280,23 +248,17 @@ class endpoint final : public gex::wire_transport,
   /// freezes its own contribution.
   void finish_region_telemetry(const progress_fn& progress);
 
-  /// Append a frame to `p`'s queue and opportunistically flush. Counts
-  /// toward the quiescence matrix iff `counted`.
+  /// Append a frame to `p`'s queue behind the peer's batch and flush.
+  /// Counts toward the quiescence matrix iff `counted`.
   void enqueue_frame(peer& p, int target, const frame_header& hdr,
                      const void* payload, std::size_t len, bool counted);
   /// Flush as much of `p.out` as the socket accepts (mu held by caller).
   void flush_locked(peer& p, int target);
-  /// Close the peer's open socket coalescing batch for telemetry (ticks
-  /// `trigger` and the agg_batch_fill stream; no-op while no batch is
-  /// open), without flushing. mu held by caller.
-  void agg_note_flush_locked(peer& p, telemetry::counter trigger) noexcept;
-  /// agg_note_flush_locked + flush_locked in one step (mu held by caller).
-  void agg_flush_locked(peer& p, int target, telemetry::counter trigger);
-  /// Ship the peer's staged shm batch as one kShmBatch ring record; if the
-  /// ring lacks space, re-route every sub-record as an eager socket frame
-  /// (same seqs — the receiver's staged map re-merges the channels). mu
-  /// held by caller.
-  void shm_agg_flush_locked(peer& p, int target, telemetry::counter trigger);
+  /// Ship the peer's batch (no-op when empty) as one message-ring record on
+  /// an armed shm peer, else — or when the ring is full — as one am_eager
+  /// frame of the same bytes on `p.out` for the caller to flush. Ticks
+  /// `trigger` when aggregating. True iff it went into the ring; mu held.
+  bool ship_batch_locked(peer& p, int target, telemetry::counter trigger);
   /// Park the calling injector while the peer's unsent socket bytes exceed
   /// sendq_max_ (bounded spin: progress is always guaranteed; the master
   /// thread pumps instead of spinning so inbound bytes keep draining).
@@ -311,7 +273,12 @@ class endpoint final : public gex::wire_transport,
   std::size_t drain_peer(gex::runtime& rt, int rank);
   /// Drain the peer's inbound shm rings into the staged map.
   std::size_t pump_shm_peer(gex::runtime& rt, int rank);
-  void process_frame(gex::runtime& rt, int rank, frame&& f);
+  /// Stage every record of one run — an am_eager frame payload, or a shm
+  /// message-ring record — for in-order release. False on a malformed run.
+  template <run_source Src>
+  [[nodiscard]] bool stage_run(peer& p, int rank,
+                               const std::vector<std::byte>& run);
+  void process_frame(int rank, frame&& f);
   /// Release in-order staged AMs to the substrate inbox.
   std::size_t release_staged(gex::runtime& rt, int rank);
   /// True while any local queue/staging/rendezvous state is unsettled.
@@ -336,7 +303,7 @@ class endpoint final : public gex::wire_transport,
   // Collective staging (rank thread + pump thread, same OS thread).
   using coll_key = std::pair<std::uint64_t, std::uint64_t>;
   std::map<coll_key, std::map<int, std::vector<std::byte>>> coll_contribs_;
-  std::map<coll_key, std::vector<std::byte>> coll_results_;
+  std::map<coll_key, std::vector<std::vector<std::byte>>> coll_results_;
 
   // Async world barrier.
   std::map<std::uint64_t, int> async_arrivals_;  ///< rank 0 only

@@ -52,6 +52,47 @@ std::uintptr_t text_anchor() noexcept {
   return reinterpret_cast<std::uintptr_t>(&kind_name);
 }
 
+void encode_coll(std::vector<std::byte>& out, std::uint64_t key,
+                 std::uint64_t seq,
+                 std::span<const std::vector<std::byte>> entries) {
+  const auto append = [&out](const void* p, std::size_t n) {
+    out.insert(out.end(), static_cast<const std::byte*>(p),
+               static_cast<const std::byte*>(p) + n);
+  };
+  const auto count = static_cast<std::uint32_t>(entries.size());
+  append(&key, sizeof key);
+  append(&seq, sizeof seq);
+  append(&count, sizeof count);
+  for (const auto& e : entries) {
+    const auto len = static_cast<std::uint32_t>(e.size());
+    append(&len, sizeof len);
+    append(e.data(), e.size());
+  }
+}
+
+bool decode_coll(const void* payload, std::size_t len, coll_msg* out) {
+  const auto* p = static_cast<const std::byte*>(payload);
+  const std::byte* const end = p + len;
+  const auto take = [&p, end](void* dst, std::size_t n) {
+    if (static_cast<std::size_t>(end - p) < n) return false;
+    std::memcpy(dst, p, n);
+    p += n;
+    return true;
+  };
+  std::uint32_t count = 0;
+  if (!take(&out->key, 8) || !take(&out->seq, 8) || !take(&count, 4))
+    return false;
+  out->entries.clear();
+  while (count-- != 0) {
+    std::uint32_t n = 0;
+    if (!take(&n, sizeof n) || static_cast<std::size_t>(end - p) < n)
+      return false;
+    out->entries.emplace_back(p, p + n);
+    p += n;
+  }
+  return p == end;
+}
+
 namespace {
 constexpr bool valid_kind(std::uint16_t k) noexcept {
   return k >= static_cast<std::uint16_t>(frame_kind::hello) &&
@@ -155,17 +196,19 @@ gex::net_config apply_env(gex::net_config cfg) {
     cfg.sendq_max = static_cast<std::size_t>(
         env_u64("ASPEN_NET_SENDQ_MAX", cfg.sendq_max));
   }
-  // An eager frame carries the message plus its prefix in one frame, so
-  // both eager bounds stay under the frame ceiling (the shm one too: a full
-  // ring re-sends staged records as eager socket frames).
+  // An eager frame carries the message as a record in one frame, so both
+  // eager bounds stay under the frame ceiling (the shm one too: a full ring
+  // ships its batch as one eager socket frame).
   const std::size_t eager_limit = eager_payload_limit(cfg.max_frame);
   if (cfg.eager_max > eager_limit) cfg.eager_max = eager_limit;
-  // Normalize the aggregation watermarks: at least one full eager frame must
+  // Normalize the aggregation watermarks: at least one largest record must
   // fit (otherwise every send would flush immediately and the layer is pure
-  // overhead), and a frame-count watermark of zero means "flush every frame"
-  // which is the same as disabled — clamp both to sane minima.
-  if (cfg.agg.max_bytes < cfg.eager_max + sizeof(frame_header))
-    cfg.agg.max_bytes = cfg.eager_max + sizeof(frame_header);
+  // overhead), a batch ships as one frame so it stays under the ceiling,
+  // and a frame-count watermark of zero means "flush every frame" which is
+  // the same as disabled — clamp all three.
+  if (cfg.agg.max_bytes < cfg.eager_max + kRecordMaxOverhead)
+    cfg.agg.max_bytes = cfg.eager_max + kRecordMaxOverhead;
+  if (cfg.agg.max_bytes > cfg.max_frame) cfg.agg.max_bytes = cfg.max_frame;
   if (cfg.agg.max_frames == 0) cfg.agg.max_frames = 1;
   if (cfg.agg.flush_us == 0) cfg.agg.flush_us = 1;
   // A send-queue bound below the aggregation byte watermark (or below one
@@ -173,7 +216,8 @@ gex::net_config apply_env(gex::net_config cfg) {
   // clamp it up so the two mechanisms compose.
   if (cfg.sendq_max != 0) {
     const std::size_t floor_bytes =
-        (cfg.agg.enabled ? cfg.agg.max_bytes : cfg.eager_max) +
+        (cfg.agg.enabled ? cfg.agg.max_bytes
+                         : cfg.eager_max + kRecordMaxOverhead) +
         2 * sizeof(frame_header);
     if (cfg.sendq_max < floor_bytes) cfg.sendq_max = floor_bytes;
   }

@@ -15,24 +15,18 @@
 //                  listen ports, rank-ordered.
 //   ident          first frame on every mesh socket; src names the
 //                  connecting rank. Empty payload.
-//   am_eager       one complete active message: u64 handler delta, u64
-//                  send timestamp (sender steady-clock ns normalized to
-//                  rank 0's clock base; 0 when untimed), u64 otrace trace
-//                  id (0 when the op is unsampled; protocol v5), then the
-//                  AM payload bytes. seq orders it per (src -> dst).
+//   am_eager       a run of one or more AM records (see am_record below):
+//                  a flushed aggregation batch, or a single record when
+//                  aggregation is off. Each record carries its own seq.
 //   am_rts         rendezvous request-to-send for an AM whose payload
-//                  exceeds eager_max. Payload: rdzv_body (token, handler
-//                  delta, total payload length, send timestamp, trace id).
-//                  seq is the *message's* delivery slot; the data frame
-//                  inherits it. The CTS/DATA legs carry no trace word —
-//                  both sides key the trace by the rendezvous token.
-//   am_cts         receiver -> sender clear-to-send. aux = token. No
-//                  payload.
-//   am_data        the rendezvous payload, one frame. aux = token.
-//   coll_contrib   member -> coordinator collective contribution:
-//                  u64 key, u64 seq, then the serialized contribution.
-//   coll_result    coordinator -> member result: u64 key, u64 seq, then
-//                  nmembers x (u32 len, bytes), member-ordered.
+//                  exceeds eager_max: one record whose len is the total
+//                  payload, which follows later in one am_data frame.
+//   am_cts         receiver -> sender clear-to-send. seq = the message's
+//                  seq, which keys the rendezvous. No payload.
+//   am_data        the rendezvous payload, one frame. seq = the message's.
+//   coll_contrib   member -> coordinator collective contribution, and
+//   coll_result    coordinator -> member result: u64 key, u64 seq, then a
+//                  member table (see encode_coll).
 //   async_arrive   rank -> rank 0 asynchronous-barrier arrival; seq carries
 //                  the epoch. No payload.
 //   async_release  rank 0 -> all: epoch in seq is complete. No payload.
@@ -54,6 +48,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -64,7 +59,7 @@
 namespace aspen::net {
 
 inline constexpr std::uint16_t kMagic = 0xA59E;
-inline constexpr std::uint32_t kProtocolVersion = 5;
+inline constexpr std::uint32_t kProtocolVersion = 6;
 
 enum class frame_kind : std::uint16_t {
   hello = 1,
@@ -92,8 +87,8 @@ struct frame_header {
   std::uint16_t kind = 0;
   std::int32_t src = -1;          ///< sending rank (-1 in bootstrap frames)
   std::uint32_t payload_len = 0;  ///< bytes following this header
-  std::uint32_t aux = 0;          ///< kind-specific (rendezvous token)
-  std::uint64_t seq = 0;          ///< per-(src,dst) order / barrier epoch
+  std::uint32_t aux = 0;          ///< kind-specific (telemetry final flag)
+  std::uint64_t seq = 0;          ///< rendezvous key / barrier epoch
 };
 static_assert(sizeof(frame_header) == 24, "wire header layout is fixed");
 static_assert(std::is_trivially_copyable_v<frame_header>);
@@ -113,56 +108,135 @@ struct hello_body {
 };
 static_assert(std::is_trivially_copyable_v<hello_body>);
 
-/// Rendezvous RTS payload.
-struct rdzv_body {
-  std::uint32_t token = 0;
-  std::uint32_t pad = 0;
-  std::uint64_t handler_delta = 0;
-  std::uint64_t total_len = 0;
+// ---------------------------------------------------------------------------
+// The AM record (protocol v6): one active message, encoded the same way in
+// an am_eager frame, a shm message-ring record and an am_rts payload. On the
+// wire: the 24-byte header (seq, handler_delta, len, flags), then send_ns
+// iff kRecTimed, then trace iff kRecTraced, then `len` payload bytes unless
+// the record is detached — an am_rts record (the payload follows in
+// am_data) or a kRecBulk one (the payload is the shm bulk ring's front).
+// A detached record travels alone in its run.
+// ---------------------------------------------------------------------------
+
+inline constexpr std::uint32_t kRecTimed = 1u << 0;
+inline constexpr std::uint32_t kRecTraced = 1u << 1;
+inline constexpr std::uint32_t kRecBulk = 1u << 2;
+
+struct am_record {
+  std::uint64_t seq = 0;            ///< per-(src -> dst) delivery slot
+  std::uint64_t handler_delta = 0;  ///< handler minus the text anchor
+  std::uint32_t len = 0;            ///< payload bytes
+  std::uint32_t flags = 0;  ///< encode_record sets kRecTimed/kRecTraced
   std::uint64_t send_ns = 0;  ///< sender clock, rank-0-normalized; 0 untimed
-  std::uint64_t trace = 0;    ///< otrace trace id; 0 when unsampled
+  std::uint64_t trace = 0;    ///< otrace trace id; 0 unsampled
 };
-static_assert(std::is_trivially_copyable_v<rdzv_body>);
-
-/// The fixed am_eager body prefix preceding the AM payload bytes
-/// (protocol v5: handler delta, send timestamp, trace id).
-struct eager_body {
-  std::uint64_t handler_delta = 0;
-  std::uint64_t send_ns = 0;
-  std::uint64_t trace = 0;
-};
-static_assert(sizeof(eager_body) == 24);
-static_assert(std::is_trivially_copyable_v<eager_body>);
-
-inline constexpr std::size_t kEagerPrefixBytes = sizeof(eager_body);
+/// The fixed record header size.
+inline constexpr std::size_t kEagerPrefixBytes = 24;
+static_assert(offsetof(am_record, send_ns) == kEagerPrefixBytes);
+static_assert(std::is_trivially_copyable_v<am_record>);
+/// The most a record adds to its payload: the header plus both words.
+inline constexpr std::size_t kRecordMaxOverhead = sizeof(am_record);
 
 /// Largest AM payload one am_eager frame can carry under a `max_frame`
-/// payload ceiling: the frame's payload is the prefix plus the message.
+/// payload ceiling, whatever optional words its record carries.
 [[nodiscard]] constexpr std::size_t eager_payload_limit(
     std::size_t max_frame) noexcept {
-  return max_frame > kEagerPrefixBytes ? max_frame - kEagerPrefixBytes : 0;
+  return max_frame > kRecordMaxOverhead ? max_frame - kRecordMaxOverhead : 0;
 }
 
-/// Decode the am_eager prefix out of a frame payload. Rejects runt frames
-/// (payload shorter than the fixed prefix) — the conduit treats a false
-/// return as a protocol violation.
-[[nodiscard]] inline bool decode_eager_prefix(const void* payload,
-                                              std::size_t len,
-                                              eager_body* out) noexcept {
-  if (len < kEagerPrefixBytes) return false;
-  std::memcpy(out, payload, sizeof(eager_body));
+/// Encode `r` at `out`, then `payload` (r.len bytes) unless it is null (a
+/// detached record). kRecBulk comes from r.flags, the other flags from the
+/// optional words. Returns the bytes written, at most kRecordMaxOverhead
+/// plus the payload.
+inline std::size_t encode_record(std::byte* out, const am_record& r,
+                                 const void* payload) noexcept {
+  am_record h = r;
+  h.flags = (r.flags & kRecBulk) | (r.send_ns != 0 ? kRecTimed : 0) |
+            (r.trace != 0 ? kRecTraced : 0);
+  std::memcpy(out, &h, kEagerPrefixBytes);
+  std::size_t n = kEagerPrefixBytes;
+  for (const std::uint64_t word : {r.send_ns, r.trace}) {
+    if (word == 0) continue;
+    std::memcpy(out + n, &word, sizeof word);
+    n += sizeof word;
+  }
+  if (payload == nullptr) return n;
+  if (r.len != 0) std::memcpy(out + n, payload, r.len);
+  return n + r.len;
+}
+
+/// Where a run of records arrived; decides which records are legal.
+enum class run_source : std::uint8_t {
+  eager,  ///< an am_eager frame: inline records only
+  rts,    ///< an am_rts frame: exactly one record, its payload detached
+  ring,   ///< a shm message-ring record: inline records, or one kRecBulk
+};
+
+/// Decode a run of records from `Src`, calling fn(const am_record&, const
+/// std::byte* payload) per record in order (payload null when detached).
+/// Rejects an empty run, runts, a len past the buffer, unknown flag bits,
+/// trailing bytes, a detached record not alone, and a kRecBulk record off
+/// the ring or whose len is not `bulk_len` (the bulk ring's front record
+/// size, 0 when empty). Records fn saw before a false lay in the buffer.
+template <run_source Src, class Fn>
+[[nodiscard]] bool decode_run(const void* buf, std::size_t n, Fn&& fn,
+                              std::size_t bulk_len = 0) {
+  const auto* base = static_cast<const std::byte*>(buf);
+  std::size_t off = 0;
+  do {
+    const std::size_t start = off;
+    am_record r;
+    if (n - off < kEagerPrefixBytes) return false;
+    std::memcpy(static_cast<void*>(&r), base + off, kEagerPrefixBytes);
+    off += kEagerPrefixBytes;
+    if ((r.flags & ~(kRecTimed | kRecTraced | kRecBulk)) != 0) return false;
+    if ((r.flags & kRecTimed) != 0) {
+      if (n - off < sizeof r.send_ns) return false;
+      std::memcpy(&r.send_ns, base + off, sizeof r.send_ns);
+      off += sizeof r.send_ns;
+    }
+    if ((r.flags & kRecTraced) != 0) {
+      if (n - off < sizeof r.trace) return false;
+      std::memcpy(&r.trace, base + off, sizeof r.trace);
+      off += sizeof r.trace;
+    }
+    const bool alone = start == 0 && off == n;
+    if ((r.flags & kRecBulk) != 0) {
+      if constexpr (Src != run_source::ring) {
+        return false;
+      } else {
+        if (!alone || r.len == 0 || r.len != bulk_len) return false;
+        fn(r, nullptr);
+      }
+    } else if constexpr (Src == run_source::rts) {
+      if (!alone) return false;
+      fn(r, nullptr);
+    } else {
+      if (n - off < r.len) return false;
+      fn(r, base + off);
+      off += r.len;
+    }
+  } while (off != n);
   return true;
 }
 
-/// Decode an am_rts payload. Strict: the payload must be exactly one
-/// rdzv_body (no truncation, no trailing bytes).
-[[nodiscard]] inline bool decode_rdzv_body(const void* payload,
-                                           std::size_t len,
-                                           rdzv_body* out) noexcept {
-  if (len != sizeof(rdzv_body)) return false;
-  std::memcpy(out, payload, sizeof(rdzv_body));
-  return true;
-}
+/// A collective frame (coll_contrib, coll_result). On the wire: u64 key,
+/// u64 seq, u32 entry count, then (u32 len, bytes) per entry — one entry
+/// (the member's bytes) in a contribution, one per member in a result.
+struct coll_msg {
+  std::uint64_t key = 0;
+  std::uint64_t seq = 0;
+  std::vector<std::vector<std::byte>> entries;
+};
+
+void encode_coll(std::vector<std::byte>& out, std::uint64_t key,
+                 std::uint64_t seq,
+                 std::span<const std::vector<std::byte>> entries);
+
+/// Strict decoder for both kinds: rejects a runt prefix, an entry running
+/// past the end, and trailing bytes.
+[[nodiscard]] bool decode_coll(const void* payload, std::size_t len,
+                               coll_msg* out);
 
 /// One decoded frame: header plus owned payload bytes.
 struct frame {

@@ -1314,13 +1314,17 @@ TEST(AggSpmd, GupsBitIdenticalAggOnOffAndSmp) {
            "engaged";
 }
 
-// Same equivalence over conduit::shm: staged ring batches (kShmBatch
-// records, with socket fallback when a ring fills) must preserve the
-// bit-identical result, and toggling between an aggregated shm region and
-// an unaggregated one in the same process must requiesce cleanly.
+// Same equivalence over conduit::shm. GUPS runs as rpc_ff updates so the
+// AMs ride the message rings (amo_promises completes by direct atomics on
+// shm and sends no AM): ring batches must preserve the bit-identical
+// result, and toggling between an aggregated shm region and an
+// unaggregated one in the same process must requiesce cleanly. Under a
+// tiny ring (the net_spmd_shm_ringfull_n4 leg) full rings must also have
+// sent batches down the socket fallback.
 TEST(AggSpmd, GupsBitIdenticalOverShm) {
   ASPEN_REQUIRE_LAUNCHED();
   namespace g = aspen::apps::gups;
+  using c = aspen::telemetry::counter;
   const int n = job_size();
   g::params p;
   p.table_bits = 12;
@@ -1333,27 +1337,40 @@ TEST(AggSpmd, GupsBitIdenticalOverShm) {
       acc ^= t.local_slice()[i] * 0x9E3779B97F4A7C15ull + i;
     return acc;
   };
+  std::uint64_t ring_msgs = 0, ring_full = 0;
+  bool up = false;
+  auto run = [&](std::uint64_t* sum) {
+    const auto before = aspen::telemetry::local_snapshot();
+    g::table t(p);
+    (void)g::run_variant(g::variant::rpc_ff, t, p);
+    *sum = aspen::allreduce_sum(local_checksum(t));
+    const auto d = aspen::telemetry::local_snapshot() - before;
+    ring_msgs += aspen::allreduce_sum(d.get(c::shm_msgs_sent));
+    ring_full += aspen::allreduce_sum(d.get(c::shm_ring_full));
+    up = shm_fabric_up();
+    aspen::barrier();
+  };
 
   std::uint64_t agg_sum = 0;
   {
     agg_env_guard armed;
-    aspen::spmd(n, shm_cfg(), [&] {
-      g::table t(p);
-      (void)g::run_variant(g::variant::amo_promises, t, p);
-      agg_sum = aspen::allreduce_sum(local_checksum(t));
-      aspen::barrier();
-    });
+    aspen::spmd(n, shm_cfg(), [&] { run(&agg_sum); });
   }
   std::uint64_t plain_sum = 0;
-  aspen::spmd(n, shm_cfg(), [&] {
-    g::table t(p);
-    (void)g::run_variant(g::variant::amo_promises, t, p);
-    plain_sum = aspen::allreduce_sum(local_checksum(t));
-    aspen::barrier();
-  });
+  aspen::spmd(n, shm_cfg(), [&] { run(&plain_sum); });
   EXPECT_EQ(agg_sum, plain_sum)
       << "ASPEN_AGG=1 over shm diverged from unaggregated shm at " << n
       << " ranks";
+
+  if (n > 1 && up && aspen::telemetry::compiled_in()) {
+    EXPECT_GT(ring_msgs, 0u) << "no update rode the shm rings";
+    const char* env = std::getenv("ASPEN_SHM_RING_BYTES");
+    const auto ring_bytes =
+        env != nullptr ? std::strtoull(env, nullptr, 0) : 0;
+    if (ring_bytes != 0 && ring_bytes <= 4096)
+      EXPECT_GT(ring_full, 0u)
+          << "a " << ring_bytes << "-byte ring never filled";
+  }
 }
 
 // Latency-bound round trips with aggregation armed and a deliberately huge

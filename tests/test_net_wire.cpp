@@ -72,12 +72,13 @@ TEST(NetWire, EveryKindRoundTrips) {
       for (std::size_t i = 0; i < p.size(); ++i)
         p[i] = static_cast<std::byte>((i * 7 + seq) & 0xFF);
     } else if (k == net::frame_kind::am_rts) {
-      net::rdzv_body b;
-      b.token = 9;
-      b.handler_delta = 0x1234;
-      b.total_len = 1 << 16;
-      p.resize(sizeof(b));
-      std::memcpy(p.data(), &b, sizeof(b));
+      net::am_record r;
+      r.seq = 9;
+      r.handler_delta = 0x1234;
+      r.len = 1 << 16;
+      p.resize(net::kRecordMaxOverhead);
+      p.resize(net::encode_record(p.data(), r, nullptr));
+      EXPECT_EQ(p.size(), net::kEagerPrefixBytes);
     }
     net::frame_header h = make_header(k, static_cast<std::uint32_t>(p.size()));
     h.seq = seq++;
@@ -138,23 +139,78 @@ TEST(NetWire, TornOneByteFeedReassembles) {
 }
 
 // ---------------------------------------------------------------------------
-// Trace-context codec (wire protocol v5: the otrace word in every AM body).
+// The AM record codec (wire protocol v6): one record per message on every
+// channel, its send timestamp and trace id present only when non-zero.
 // ---------------------------------------------------------------------------
 
+/// Append `r` (and `payload`, unless null) to `out`.
+void append_record(std::vector<std::byte>& out, const net::am_record& r,
+                   const void* payload) {
+  const std::size_t off = out.size();
+  out.resize(off + net::kRecordMaxOverhead + (payload ? r.len : 0));
+  out.resize(off + net::encode_record(out.data() + off, r, payload));
+}
+
+struct decoded {
+  net::am_record rec;
+  std::vector<std::byte> payload;
+  bool detached = false;
+};
+
+/// decode_run from `src` into a vector.
+bool decode_all(const std::vector<std::byte>& run, net::run_source src,
+                std::vector<decoded>* out, std::size_t bulk_len = 0) {
+  out->clear();
+  const auto keep = [out, &run](const net::am_record& r, const std::byte* p) {
+    decoded d;
+    d.rec = r;
+    d.detached = p == nullptr;
+    if (p != nullptr) {
+      EXPECT_GE(p, run.data());
+      EXPECT_LE(p + r.len, run.data() + run.size());
+      d.payload.assign(p, p + r.len);
+    }
+    out->push_back(std::move(d));
+  };
+  switch (src) {
+    case net::run_source::eager:
+      return net::decode_run<net::run_source::eager>(run.data(), run.size(),
+                                                     keep, bulk_len);
+    case net::run_source::rts:
+      return net::decode_run<net::run_source::rts>(run.data(), run.size(),
+                                                   keep, bulk_len);
+    case net::run_source::ring:
+      return net::decode_run<net::run_source::ring>(run.data(), run.size(),
+                                                    keep, bulk_len);
+  }
+  return false;
+}
+
 TEST(NetWire, EagerPrefixRoundTripsThroughTornFeed) {
-  net::eager_body in;
-  in.handler_delta = 0x1234;
-  in.send_ns = 987654321;
-  in.trace = (std::uint64_t{3} << 48) | 77;  // rank 3, seq 77
+  // A run of three records in one am_eager frame: both optional words, a
+  // zero-length payload, and neither word.
+  net::am_record in[3];
+  in[0].seq = 7;
+  in[0].handler_delta = 0x1234;
+  in[0].send_ns = 987654321;
+  in[0].trace = (std::uint64_t{3} << 48) | 77;  // rank 3, seq 77
+  in[1].seq = 8;
+  in[1].handler_delta = 0x99;
+  in[1].send_ns = 5;
+  in[2].seq = 9;
+  in[2].handler_delta = 0x1234;
   const auto user = bytes_of("payload after the prefix");
-  std::vector<std::byte> body(net::kEagerPrefixBytes + user.size());
-  std::memcpy(body.data(), &in, sizeof in);
-  std::memcpy(body.data() + net::kEagerPrefixBytes, user.data(), user.size());
+  in[0].len = static_cast<std::uint32_t>(user.size());
+  in[2].len = 3;
+  std::vector<std::byte> run;
+  for (const auto& r : in) append_record(run, r, user.data());
+  EXPECT_EQ(run.size(), 3 * net::kEagerPrefixBytes + 8 + 8 + 8 +
+                            user.size() + 3);
   std::vector<std::byte> stream;
   net::encode_frame(stream,
                     make_header(net::frame_kind::am_eager,
-                                static_cast<std::uint32_t>(body.size())),
-                    body.data(), body.size());
+                                static_cast<std::uint32_t>(run.size())),
+                    run.data(), run.size());
 
   net::decoder dec(kMaxFrame);
   std::vector<net::frame> got;
@@ -164,60 +220,261 @@ TEST(NetWire, EagerPrefixRoundTripsThroughTornFeed) {
     while (dec.try_next(f)) got.push_back(std::move(f));
   }
   ASSERT_EQ(got.size(), 1u);
-  net::eager_body out;
-  ASSERT_TRUE(net::decode_eager_prefix(got[0].payload.data(),
-                                       got[0].payload.size(), &out));
-  EXPECT_EQ(out.handler_delta, in.handler_delta);
-  EXPECT_EQ(out.send_ns, in.send_ns);
-  EXPECT_EQ(out.trace, in.trace);
-  EXPECT_EQ(got[0].payload.size() - net::kEagerPrefixBytes, user.size());
-  EXPECT_EQ(std::memcmp(got[0].payload.data() + net::kEagerPrefixBytes,
-                        user.data(), user.size()),
-            0);
+  std::vector<decoded> recs;
+  ASSERT_TRUE(decode_all(got[0].payload, net::run_source::eager, &recs));
+  ASSERT_EQ(recs.size(), 3u);
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(recs[i].rec.seq, in[i].seq);
+    EXPECT_EQ(recs[i].rec.handler_delta, in[i].handler_delta);
+    EXPECT_EQ(recs[i].rec.len, in[i].len);
+    EXPECT_EQ(recs[i].rec.send_ns, in[i].send_ns);
+    EXPECT_EQ(recs[i].rec.trace, in[i].trace);
+    EXPECT_FALSE(recs[i].detached);
+    EXPECT_EQ(recs[i].payload,
+              std::vector<std::byte>(user.begin(), user.begin() + in[i].len));
+  }
+  EXPECT_EQ(recs[0].rec.flags, net::kRecTimed | net::kRecTraced);
+  EXPECT_EQ(recs[1].rec.flags, net::kRecTimed);
+  EXPECT_EQ(recs[2].rec.flags, 0u);
 }
 
 TEST(NetWire, EagerPrefixRejectsRuntPayload) {
-  // A zero-length AM still carries the full 24-byte prefix; anything
-  // shorter is a runt and must be rejected, not sliced.
-  net::eager_body full{};
-  std::vector<std::byte> body(net::kEagerPrefixBytes);
-  std::memcpy(body.data(), &full, sizeof full);
-  net::eager_body out;
-  EXPECT_TRUE(net::decode_eager_prefix(body.data(), body.size(), &out));
-  for (std::size_t len = 0; len < net::kEagerPrefixBytes; ++len)
-    EXPECT_FALSE(net::decode_eager_prefix(body.data(), len, &out))
+  // A zero-length AM still carries the full 24-byte header (plus each
+  // announced word); anything shorter is a runt and must be rejected, not
+  // sliced — including the empty run.
+  net::am_record r;
+  r.seq = 1;
+  r.trace = 42;
+  std::vector<std::byte> run;
+  append_record(run, r, nullptr);
+  ASSERT_EQ(run.size(), net::kEagerPrefixBytes + 8);
+  std::vector<decoded> recs;
+  EXPECT_TRUE(decode_all(run, net::run_source::eager, &recs));
+  for (std::size_t len = 0; len < run.size(); ++len) {
+    const std::vector<std::byte> cut(run.begin(), run.begin() + len);
+    EXPECT_FALSE(decode_all(cut, net::run_source::eager, &recs))
         << len << "-byte runt decoded";
+  }
+  // A len running past the buffer is a runt too.
+  r.len = 4;
+  run.clear();
+  append_record(run, r, "abcd");
+  run.pop_back();
+  EXPECT_FALSE(decode_all(run, net::run_source::eager, &recs));
 }
 
 TEST(NetWire, RdzvBodyRoundTripsAndRejectsSizeMismatch) {
-  net::rdzv_body in;
-  in.token = 41;
+  // An RTS is one detached record: its len is the whole payload, which
+  // follows in am_data.
+  net::am_record in;
+  in.seq = 41;
   in.handler_delta = 0xBEEF;
-  in.total_len = std::uint64_t{1} << 33;
+  in.len = 0xFFFFFFFFu;
   in.send_ns = 123456789;
   in.trace = (std::uint64_t{250} << 48) | 0xFFFFFFFFFFFFull;
-  std::vector<std::byte> p(sizeof in);
-  std::memcpy(p.data(), &in, sizeof in);
+  std::vector<std::byte> p;
+  append_record(p, in, nullptr);
 
-  net::rdzv_body out;
-  ASSERT_TRUE(net::decode_rdzv_body(p.data(), p.size(), &out));
-  EXPECT_EQ(out.token, in.token);
-  EXPECT_EQ(out.handler_delta, in.handler_delta);
-  EXPECT_EQ(out.total_len, in.total_len);
-  EXPECT_EQ(out.send_ns, in.send_ns);
-  EXPECT_EQ(out.trace, in.trace);
+  std::vector<decoded> recs;
+  ASSERT_TRUE(decode_all(p, net::run_source::rts, &recs));
+  ASSERT_EQ(recs.size(), 1u);
+  EXPECT_TRUE(recs[0].detached);
+  EXPECT_EQ(recs[0].rec.seq, in.seq);
+  EXPECT_EQ(recs[0].rec.handler_delta, in.handler_delta);
+  EXPECT_EQ(recs[0].rec.len, in.len);
+  EXPECT_EQ(recs[0].rec.send_ns, in.send_ns);
+  EXPECT_EQ(recs[0].rec.trace, in.trace);
 
-  // An RTS body is exactly sizeof(rdzv_body) — prefixes and trailing bytes
-  // are both protocol errors (a v4 sender's 32-byte body lands here).
-  for (std::size_t len = 0; len < p.size(); ++len)
-    EXPECT_FALSE(net::decode_rdzv_body(p.data(), len, &out));
+  // An RTS body is exactly one record — prefixes and trailing bytes are
+  // both protocol errors.
+  for (std::size_t len = 0; len < p.size(); ++len) {
+    const std::vector<std::byte> cut(p.begin(), p.begin() + len);
+    EXPECT_FALSE(decode_all(cut, net::run_source::rts, &recs));
+  }
   p.push_back(std::byte{0});
-  EXPECT_FALSE(net::decode_rdzv_body(p.data(), p.size(), &out));
+  EXPECT_FALSE(decode_all(p, net::run_source::rts, &recs));
 }
 
-/// A coalesced flush (ASPEN_AGG, docs/AGG.md) emits N back-to-back frames
-/// in ONE write; the batch must decode as the same N individual frames, in
-/// seq order, with nothing left buffered.
+/// The decoder's channel rules: unknown flag bits, bulk records off the
+/// ring, detached records that do not travel alone, and bulk records whose
+/// len disagrees with the bulk ring are all rejected.
+TEST(NetWire, RecordRunRulesPerChannel) {
+  net::am_record inl;
+  inl.seq = 1;
+  inl.len = 2;
+  net::am_record bulk;
+  bulk.seq = 2;
+  bulk.len = 4096;
+  bulk.flags = net::kRecBulk;
+  std::vector<std::byte> one_bulk;
+  append_record(one_bulk, bulk, nullptr);
+  std::vector<decoded> recs;
+
+  ASSERT_TRUE(decode_all(one_bulk, net::run_source::ring, &recs, 4096));
+  ASSERT_EQ(recs.size(), 1u);
+  EXPECT_TRUE(recs[0].detached);
+  EXPECT_EQ(recs[0].rec.flags, net::kRecBulk);
+  EXPECT_FALSE(decode_all(one_bulk, net::run_source::ring, &recs, 4095));
+  EXPECT_FALSE(decode_all(one_bulk, net::run_source::ring, &recs, 0));
+  EXPECT_FALSE(decode_all(one_bulk, net::run_source::eager, &recs, 4096));
+  EXPECT_FALSE(decode_all(one_bulk, net::run_source::rts, &recs, 4096));
+
+  // A bulk record travels alone.
+  std::vector<std::byte> mixed;
+  append_record(mixed, inl, "xy");
+  append_record(mixed, bulk, nullptr);
+  EXPECT_FALSE(decode_all(mixed, net::run_source::ring, &recs, 4096));
+  mixed.clear();
+  append_record(mixed, bulk, nullptr);
+  append_record(mixed, inl, "xy");
+  EXPECT_FALSE(decode_all(mixed, net::run_source::ring, &recs, 4096));
+
+  // Inline runs decode the same on the socket and the ring.
+  std::vector<std::byte> run;
+  append_record(run, inl, "xy");
+  append_record(run, inl, "zw");
+  EXPECT_TRUE(decode_all(run, net::run_source::ring, &recs));
+  EXPECT_EQ(recs.size(), 2u);
+  EXPECT_TRUE(decode_all(run, net::run_source::eager, &recs));
+  EXPECT_EQ(recs.size(), 2u);
+  EXPECT_FALSE(decode_all(run, net::run_source::rts, &recs));
+
+  // Unknown flag bits (flags sit at bytes 20..23 of the header).
+  for (std::uint32_t bit = 3; bit < 32; ++bit) {
+    std::vector<std::byte> bad = run;
+    std::uint32_t flags = 1u << bit;
+    std::memcpy(bad.data() + 20, &flags, sizeof flags);
+    EXPECT_FALSE(decode_all(bad, net::run_source::eager, &recs)) << bit;
+  }
+}
+
+/// Mutation test for the record decoder: from a valid run of three records,
+/// a fixed seed applies byte flips, len/flags overwrites and truncations.
+/// Every decode must yield only records lying wholly inside the buffer, or
+/// reject — under ASan/UBSan an out-of-bounds read fails the run.
+TEST(NetWire, RecordDecoderSurvivesSeededMutations) {
+  net::am_record r[3];
+  r[0].seq = 10;
+  r[0].handler_delta = 0xABC;
+  r[0].len = 5;
+  r[0].send_ns = 1234;
+  r[0].trace = 99;
+  r[1].seq = 11;
+  r[2].seq = 12;
+  r[2].len = 17;
+  r[2].send_ns = 77;
+  const auto user = bytes_of("seventeen bytes!!");
+  std::vector<std::byte> valid;
+  for (const auto& rec : r) append_record(valid, rec, user.data());
+
+  std::uint64_t state = 0x5EEDull;
+  const auto next = [&state] {  // splitmix64
+    std::uint64_t z = (state += 0x9E3779B97F4A7C15ull);
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+    return z ^ (z >> 31);
+  };
+  constexpr int kMutations = 20000;
+  std::size_t accepted = 0;
+  for (int i = 0; i < kMutations; ++i) {
+    std::vector<std::byte> m = valid;
+    for (int edits = 1 + static_cast<int>(next() % 3); edits > 0; --edits) {
+      const std::uint64_t x = next();
+      switch (x % 4) {
+        case 0:  // byte flip
+          m[(x >> 8) % m.size()] ^=
+              static_cast<std::byte>(1u << ((x >> 40) % 8));
+          break;
+        case 1: {  // len overwrite in one of the headers
+          const auto len = static_cast<std::uint32_t>(
+              (x >> 32) % 3 == 0 ? x >> 16 : (x >> 48) % 64);
+          const std::size_t at = (x >> 8) % (m.size() - 3);
+          std::memcpy(m.data() + at, &len, sizeof len);
+          break;
+        }
+        case 2: {  // flags overwrite
+          const auto flags = static_cast<std::uint32_t>((x >> 32) % 16);
+          const std::size_t at = (x >> 8) % (m.size() - 3);
+          std::memcpy(m.data() + at, &flags, sizeof flags);
+          break;
+        }
+        default:  // truncation
+          m.resize((x >> 8) % (m.size() + 1));
+          if (m.size() < 4) m.resize(4);
+          break;
+      }
+    }
+    // A fresh heap copy at exact size, so ASan sees any read past the end.
+    const auto exact = std::make_unique<std::byte[]>(m.size());
+    std::memcpy(exact.get(), m.data(), m.size());
+    const std::byte* lo = exact.get();
+    const std::byte* hi = lo + m.size();
+    bool inside = true;
+    const auto check = [&](const net::am_record& rec, const std::byte* p) {
+      if (p != nullptr &&
+          (p < lo || p > hi || static_cast<std::size_t>(hi - p) < rec.len))
+        inside = false;
+    };
+    const auto bulk_len = static_cast<std::size_t>(next() % 32);
+    bool ok = false;
+    switch (i % 3) {
+      case 0:
+        ok = net::decode_run<net::run_source::eager>(lo, m.size(), check);
+        break;
+      case 1:
+        ok = net::decode_run<net::run_source::rts>(lo, m.size(), check);
+        break;
+      default:
+        ok = net::decode_run<net::run_source::ring>(lo, m.size(), check,
+                                                    bulk_len);
+        break;
+    }
+    ASSERT_TRUE(inside) << "mutation " << i << " yielded an escaping record";
+    accepted += ok;
+  }
+  // The mutations must exercise both outcomes.
+  EXPECT_GT(accepted, 0u);
+  EXPECT_LT(accepted, static_cast<std::size_t>(kMutations));
+}
+
+/// Collective frames: a runt (key, seq, count) prefix, a truncated table
+/// and an overlong one are all rejected; a well-formed table round-trips.
+TEST(NetWire, CollectivePayloadsAreStrict) {
+  const std::vector<std::vector<std::byte>> entries = {
+      bytes_of("rank zero"), {}, bytes_of("rank two's longer contribution")};
+  std::vector<std::byte> p;
+  net::encode_coll(p, 0xEC00000000000002ull, 17, entries);
+  net::coll_msg got;
+  ASSERT_TRUE(net::decode_coll(p.data(), p.size(), &got));
+  EXPECT_EQ(got.key, 0xEC00000000000002ull);
+  EXPECT_EQ(got.seq, 17u);
+  EXPECT_EQ(got.entries, entries);
+
+  for (std::size_t len = 0; len < 16; ++len)
+    EXPECT_FALSE(net::decode_coll(p.data(), len, &got)) << len;
+  for (std::size_t len = 16; len < p.size(); ++len)
+    EXPECT_FALSE(net::decode_coll(p.data(), len, &got))
+        << "table truncated to " << len << " bytes decoded";
+  auto overlong = p;
+  overlong.push_back(std::byte{0});
+  EXPECT_FALSE(net::decode_coll(overlong.data(), overlong.size(), &got));
+  // A count announcing more entries than the table holds.
+  auto miscounted = p;
+  const std::uint32_t four = 4;
+  std::memcpy(miscounted.data() + 16, &four, sizeof four);
+  EXPECT_FALSE(net::decode_coll(miscounted.data(), miscounted.size(), &got));
+
+  // A contribution is a one-entry table.
+  std::vector<std::byte> c;
+  net::encode_coll(c, 1, 2, {&entries[2], 1});
+  ASSERT_TRUE(net::decode_coll(c.data(), c.size(), &got));
+  ASSERT_EQ(got.entries.size(), 1u);
+  EXPECT_EQ(got.entries[0], entries[2]);
+}
+
+/// One write may carry many back-to-back frames (a shipped batch behind
+/// queued control frames, or a send-queue residue); they must decode as
+/// the same N individual frames, in order, with nothing left buffered.
 TEST(NetWire, CoalescedBatchDecodesAsIndividualFrames) {
   constexpr std::size_t kFrames = 64;
   std::vector<std::byte> batch;
@@ -249,9 +506,9 @@ TEST(NetWire, CoalescedBatchDecodesAsIndividualFrames) {
   EXPECT_EQ(dec.buffered(), 0u);
 }
 
-/// The same coalesced batch torn at EVERY byte boundary: recv() may split a
-/// multi-frame write anywhere, including between two frames of the batch
-/// and inside any header or payload.
+/// The same frames torn at EVERY byte boundary: recv() may split a
+/// multi-frame write anywhere, including between two frames and inside
+/// any header or payload.
 TEST(NetWire, CoalescedBatchSurvivesTornFeedAtEveryBoundary) {
   constexpr std::size_t kFrames = 8;
   std::vector<std::byte> batch;
@@ -359,18 +616,24 @@ TEST(NetWire, ApplyEnvOverridesAndClamps) {
   EXPECT_EQ(got.max_frame, std::size_t{1} << 20);
   EXPECT_EQ(got.segment_base, 0x2b0000000000ull);
 
-  // An eager frame IS one frame: its prefix plus the message must fit
-  // max_frame, for the socket bound and for the shm bound (a full ring
-  // re-sends staged records as eager socket frames).
+  // An eager frame IS one frame: the message's record, header and both
+  // optional words included, must fit max_frame, for the socket bound and
+  // for the shm bound (a full ring ships its batch as an eager socket
+  // frame). So must a whole aggregation batch.
   setenv("ASPEN_NET_EAGER_MAX", "0x200000", 1);
   got = net::apply_env(base);
-  EXPECT_LE(got.eager_max + net::kEagerPrefixBytes, got.max_frame);
+  EXPECT_LE(got.eager_max + net::kRecordMaxOverhead, got.max_frame);
   setenv("ASPEN_NET_MAX_FRAME", "4096", 1);
   setenv("ASPEN_SHM_EAGER_MAX", "8192", 1);
+  setenv("ASPEN_AGG_BYTES", "65536", 1);
   got = net::apply_env(base);
-  EXPECT_LE(got.eager_max + net::kEagerPrefixBytes, got.max_frame);
-  EXPECT_LE(got.shm.eager_max + net::kEagerPrefixBytes, got.max_frame);
+  EXPECT_EQ(got.max_frame, 4096u);
+  EXPECT_LE(got.eager_max + net::kRecordMaxOverhead, got.max_frame);
+  EXPECT_LE(got.shm.eager_max + net::kRecordMaxOverhead, got.max_frame);
+  EXPECT_LE(got.agg.max_bytes, got.max_frame);
+  EXPECT_GE(got.agg.max_bytes, got.eager_max + net::kRecordMaxOverhead);
   unsetenv("ASPEN_SHM_EAGER_MAX");
+  unsetenv("ASPEN_AGG_BYTES");
 
   unsetenv("ASPEN_NET_EAGER_MAX");
   unsetenv("ASPEN_NET_MAX_FRAME");
