@@ -16,6 +16,7 @@
 // non-fetching fetch-add clearly faster than fetching under eager.
 #include <cstdio>
 #include <iostream>
+#include <string>
 
 #include "apps/gups/gups.hpp"  // reuse nothing; keeps include check honest
 #include "benchutil/options.hpp"
@@ -24,6 +25,7 @@
 #include "benchutil/telemetry_report.hpp"
 #include "benchutil/timer.hpp"
 #include "core/aspen.hpp"
+#include "core/otrace.hpp"
 
 namespace {
 
@@ -176,11 +178,11 @@ int main() {
                                             "fig2_4_micro", tele))
     std::cout << "telemetry sidecar: fig2_4_micro.telemetry.json\n";
 
-  // Trace phase: a short instrumented re-run per operation so the Trace
-  // Event file stays small enough to open in chrome://tracing / Perfetto.
+  // Trace phase: a short re-run per operation with every op sampled, so
+  // the otrace export stays small enough to open in Perfetto.
   if (aspen::telemetry::compiled_in()) {
-    aspen::telemetry::clear_trace();
-    aspen::telemetry::enable_tracing(true);
+    aspen::otrace::configure(1, 1 << 20, "fig2_4_micro");
+    aspen::otrace::clear();
     aspen::spmd(2, [] {
       atomic_domain<std::uint64_t> ad(
           {gex::amo_op::fadd, gex::amo_op::load, gex::amo_op::add});
@@ -197,10 +199,12 @@ int main() {
       barrier();
       if (rank_me() == 1) delete_(gp);
     });
-    aspen::telemetry::enable_tracing(false);
-    if (aspen::telemetry::write_trace_file("fig2_4_micro.trace.json"))
-      std::cout << "trace (" << aspen::telemetry::trace_event_count()
-                << " events): fig2_4_micro.trace.json\n";
+    const std::string path = aspen::otrace::dump_path("fig2_4_micro", 0);
+    const bool written = aspen::otrace::export_json(path, 0);
+    aspen::otrace::configure(0, 1 << 20, nullptr);
+    if (written)
+      std::cout << "otrace (" << aspen::otrace::records_appended()
+                << " records): " << path << "\n";
   }
   return 0;
 }

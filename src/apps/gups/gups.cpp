@@ -3,7 +3,6 @@
 #include <stdexcept>
 
 #include "benchutil/timer.hpp"
-#include "core/telemetry.hpp"
 
 namespace aspen::apps::gups {
 
@@ -283,7 +282,6 @@ void run_rpc_ff(table& t, const params& p) {
 }  // namespace
 
 result run_variant(variant v, table& t, const params& p) {
-  telemetry::span sp(to_string(v).data(), "gups");
   // The atomic domain is constructed outside the timed region, as the real
   // benchmark does.
   atomic_domain<std::uint64_t> ad({gex::amo_op::bxor, gex::amo_op::load});

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "benchutil/timer.hpp"
-#include "core/telemetry.hpp"
 
 namespace aspen::apps::matching {
 
@@ -55,7 +54,6 @@ double matching_weight(const csr_graph& g, const std::vector<vid>& mate) {
 // ---------------------------------------------------------------------------
 
 std::vector<vid> solve_distributed(const dist_graph& g, solve_stats& stats) {
-  telemetry::span solve_sp("match_solve", "matching");
   const vid lo = g.lo();
   const vid owned = g.owned();
   const auto nranks = rank_n();
@@ -99,7 +97,6 @@ std::vector<vid> solve_distributed(const dist_graph& g, solve_stats& stats) {
   std::vector<vid> alive = wave;
   int rounds = 0;
   while (true) {
-    telemetry::span round_sp("match_round", "matching");
     std::uint64_t changes = 0;
 
     // Phase A: advance each alive vertex's candidate past dead neighbors

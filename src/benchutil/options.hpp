@@ -108,9 +108,10 @@
 //                          final flush at region exit; rank 0 then serves
 //                          the job-wide aggregate with no sidecar files
 //                          (unset/0 = off; clamped to 1 h)
-//   ASPEN_TELEMETRY_TRACE  base path: auto-enables tracing and writes
-//                          <base>.rank<r>.trace.json per rank at region
-//                          exit (merge with bench::merge_rank_traces)
+//   ASPEN_TELEMETRY_TRACE  base path <base> of every per-rank diagnostic
+//                          file: otrace exports and dumps
+//                          (<base>.rank<R>.otrace.json) and watchdog
+//                          health reports (default "aspen")
 //   ASPEN_BENCH_SIDECARS   offnode_branch only: with live telemetry on,
 //                          non-zero also writes the per-rank sidecars plus
 //                          rank 0's <result>.live.json so the parent can
@@ -122,9 +123,9 @@
 //                          oldest pending remote op, progress gap (with
 //                          work pending), or send-queue drain exceeds this
 //                          many ms dumps <base>.rank<R>.health.json once
-//                          per stall episode; SIGUSR1 forces a dump
+//                          per stall episode (<base> from
+//                          ASPEN_TELEMETRY_TRACE); SIGUSR1 forces a dump
 //                          (unset/0 = off)
-//   ASPEN_WATCHDOG_REPORT  report base path <base> above (default "aspen")
 //   ASPEN_TOP_INTERVAL_MS  aspen-top refresh interval when --interval is
 //                          not given (default 500, clamped to 1 min)
 //

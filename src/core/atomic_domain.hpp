@@ -287,7 +287,6 @@ class atomic_domain {
   auto fetch_op(gex::amo_op op, global_ptr<T> gp, T op1, T op2,
                 Cxs cxs) const -> detail::cx_return_t<Cxs, T> {
     check_registered(op);
-    telemetry::span sp("amo_fetch", "amo");
     telemetry::op_scope os(telemetry::op_class::amo);
     otrace::op_scope ts;
     telemetry::count(telemetry::counter::amo_fetching);
@@ -310,7 +309,6 @@ class atomic_domain {
   auto void_op(gex::amo_op op, global_ptr<T> gp, T op1, T op2,
                Cxs cxs) const -> detail::cx_return_t<Cxs> {
     check_registered(op);
-    telemetry::span sp("amo_void", "amo");
     telemetry::op_scope os(telemetry::op_class::amo);
     otrace::op_scope ts;
     telemetry::count(telemetry::counter::amo_sideeffect);
@@ -333,7 +331,6 @@ class atomic_domain {
   auto into_op(gex::amo_op op, global_ptr<T> gp, T op1, T op2, T* dst,
                Cxs cxs) const -> detail::cx_return_t<Cxs> {
     check_registered(op);
-    telemetry::span sp("amo_into", "amo");
     telemetry::op_scope os(telemetry::op_class::amo);
     otrace::op_scope ts;
     telemetry::count(telemetry::counter::amo_nonfetching);

@@ -197,16 +197,9 @@ void ensure_configured_locked(ot_state& s) {
       parse_sample(std::getenv("ASPEN_TRACE_SAMPLE"));
   const std::uint64_t ring_bytes =
       parse_ring_bytes(std::getenv("ASPEN_TRACE_RING_BYTES"));
-  // Dump base: share the trace base when live tracing is on, else the
-  // watchdog's report base, else "aspen" — so one job's artifacts land
-  // together.
-  if (const char* tb = std::getenv("ASPEN_TELEMETRY_TRACE");
-      tb != nullptr && *tb != '\0') {
-    s.base = tb;
-  } else if (const char* wb = std::getenv("ASPEN_WATCHDOG_REPORT");
-             wb != nullptr && *wb != '\0') {
-    s.base = wb;
-  }
+  // The one diagnostic base, shared with the watchdog's health reports,
+  // so one job's artifacts land together.
+  s.base = telemetry::artifact_base();
   apply_config_locked(s, sample, ring_bytes);
 }
 
@@ -593,10 +586,11 @@ bool export_json(const std::string& path, int rank) {
                "\n],\"displayTimeUnit\":\"ns\",\"otherData\":{"
                "\"otrace\":true,\"rank\":%d,\"sample_n\":%u,"
                "\"records_appended\":%llu,\"ring_capacity\":%llu,"
-               "\"clock_offset_ns\":%lld}}\n",
+               "\"clock_synced\":%s,\"clock_offset_ns\":%lld}}\n",
                rank, sample_n(),
                static_cast<unsigned long long>(records_appended()),
                static_cast<unsigned long long>(st().cap),
+               telemetry::clock_synced() ? "true" : "false",
                static_cast<long long>(telemetry::clock_offset_ns()));
   std::fclose(f);
   return true;

@@ -27,9 +27,14 @@
 // SIGUSR2 (async-signal-safe writer: open/write only), and at region exit
 // the conduit::tcp endpoint exports the same records as Perfetto spans with
 // flow events chaining every cross-rank hop (merge the per-rank files with
-// bench::merge_rank_otraces). Timestamps are absolute steady-clock
-// nanoseconds corrected by the PR 5 clock sync offset, so all ranks of one
-// job land on a single monotone timeline.
+// bench::merge_rank_otraces). <base> is telemetry::artifact_base()
+// (ASPEN_TELEMETRY_TRACE, default "aspen"), shared with the watchdog's
+// health reports. Timestamps are absolute steady-clock nanoseconds
+// corrected by the bootstrap clock-sync offset (telemetry::set_clock_sync),
+// so all ranks of one job land on a single monotone timeline.
+//
+// otrace is the runtime's only timeline: an op's interval is the edge from
+// its inject record to its fulfill_eager or fulfill_deferred record.
 //
 // With ASPEN_TELEMETRY compiled out the whole subsystem compiles to
 // nothing: ids are always 0, scopes and notes are empty inlines, and the
@@ -111,8 +116,8 @@ void configure(std::uint32_t sample_n, std::uint64_t ring_bytes,
 /// Ring capacity in records (rounded down to a power of two).
 [[nodiscard]] std::uint64_t ring_capacity() noexcept;
 
-/// The configured dump/export base name (ASPEN_TELEMETRY_TRACE, else
-/// ASPEN_WATCHDOG_REPORT, else "aspen"). Stable storage once configured.
+/// The configured dump/export base name (telemetry::artifact_base() unless
+/// configure() named one). Stable storage once configured.
 [[nodiscard]] const char* dump_base() noexcept;
 
 /// Tag the calling thread with its rank (forwarded from

@@ -188,7 +188,6 @@ struct immediate_remote_sender {
 template <typename Cxs>
 auto rma_put_bytes(int target, void* dest_raw, const void* src,
                    std::size_t nbytes, Cxs&& cxs) -> cx_return_t<Cxs> {
-  telemetry::span sp("rput", "rma");
   telemetry::op_scope os(telemetry::op_class::rma_put);
   otrace::op_scope ts;
   rank_context& c = ctx();
@@ -245,7 +244,6 @@ template <rma_type T,
               detail::future_cx<detail::event_operation_t>>>
 auto rget(global_ptr<T> src, Cxs cxs = operation_cx::as_future())
     -> detail::cx_return_t<Cxs, T> {
-  telemetry::span sp("rget", "rma");
   telemetry::op_scope os(telemetry::op_class::rma_get);
   otrace::op_scope ts;
   detail::rank_context& c = detail::ctx();
@@ -282,7 +280,6 @@ template <rma_type T,
               detail::future_cx<detail::event_operation_t>>>
 auto rget(global_ptr<T> src, T* dest, std::size_t n,
           Cxs cxs = operation_cx::as_future()) -> detail::cx_return_t<Cxs> {
-  telemetry::span sp("rget_bulk", "rma");
   telemetry::op_scope os(telemetry::op_class::rma_get);
   otrace::op_scope ts;
   detail::rank_context& c = detail::ctx();

@@ -131,7 +131,6 @@ template <typename Fn, typename ArgsTuple>
 void send_rpc_ff_tuple(int target, const Fn& fn, const ArgsTuple& args) {
   static_assert(shippable_callable<Fn>,
                 "rpc callables must be trivially copyable");
-  telemetry::span sp("rpc_ff", "rpc");
   telemetry::count(telemetry::counter::rpc_ff_sent);
   otrace::op_scope ts;
   ser_writer w(sizeof(Fn) + 64);
@@ -180,7 +179,6 @@ auto rpc(int target, Fn fn, Args&&... args) {
   using RFut = typename detail::rpc_future<R>::type;
   using RCell = typename detail::rfut_traits<RFut>::cell_t;
 
-  telemetry::span sp("rpc", "rpc");
   telemetry::count(telemetry::counter::rpc_roundtrip);
   otrace::op_scope ts;
   auto* c = new RCell();

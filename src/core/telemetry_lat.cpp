@@ -161,8 +161,7 @@ void ensure_configured_locked(wd_state& s) {
                  "watchdog: ignoring unparsable ASPEN_WATCHDOG_MS=\"%s\"", v);
     }
   }
-  const char* base = std::getenv("ASPEN_WATCHDOG_REPORT");
-  if (base != nullptr && *base != '\0') s.report_base = base;
+  s.report_base = artifact_base();
   s.enabled_mirror.store(s.threshold_ns != 0, std::memory_order_relaxed);
 }
 

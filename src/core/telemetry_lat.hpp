@@ -225,9 +225,9 @@ using transport_probe = std::function<transport_status()>;
 
 #if ASPEN_TELEMETRY_ENABLED
 
-/// Explicit (re)configuration — overrides ASPEN_WATCHDOG_MS /
-/// ASPEN_WATCHDOG_REPORT; threshold_ms == 0 disables. Used by tests; the
-/// environment is parsed lazily on first use otherwise.
+/// Explicit (re)configuration — overrides ASPEN_WATCHDOG_MS and the
+/// artifact_base() report base; threshold_ms == 0 disables. Used by tests;
+/// the environment is parsed lazily on first use otherwise.
 void configure(std::uint64_t threshold_ms, const char* report_base) noexcept;
 
 [[nodiscard]] bool enabled() noexcept;

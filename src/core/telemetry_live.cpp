@@ -165,14 +165,6 @@ std::uint32_t interval_ms() noexcept {
 
 bool enabled() noexcept { return interval_ms() != 0; }
 
-const char* trace_base() noexcept {
-  static const std::string base = [] {
-    const char* s = std::getenv("ASPEN_TELEMETRY_TRACE");
-    return std::string(s == nullptr ? "" : s);
-  }();
-  return base.empty() ? nullptr : base.c_str();
-}
-
 // ---------------------------------------------------------------------------
 // Producer state
 // ---------------------------------------------------------------------------

@@ -158,8 +158,6 @@ endpoint::endpoint(int rank, int nranks, gex::net_config cfg,
     peer& p = peer_of(r);
     if (p.sock.valid()) io_.attach(r, p.sock.get());
   }
-  if (telemetry::live::trace_base() != nullptr)
-    telemetry::enable_tracing(true);
   otrace::install_crash_handlers();
   if (telemetry::watchdog::enabled()) {
     telemetry::watchdog::install_signal_handler();
@@ -581,7 +579,6 @@ void endpoint::enqueue_frame(peer& p, int target, const frame_header& hdr,
 }
 
 void endpoint::send_am(gex::runtime& rt, int target, gex::am_message msg) {
-  telemetry::span sp("wire_send", "net");
   peer& p = peer_of(target);
   if (!p.sock.valid() || p.departed) {
     aspen::fatal(
@@ -614,7 +611,6 @@ void endpoint::send_am(gex::runtime& rt, int target, gex::am_message msg) {
   // otrace wire edge: one flow id per (src, dst, seq); the matching
   // wire_deliver on the receiver records the same id (see process_frame).
   const std::uint64_t fid = flow_id(rank_, target, rec.seq);
-  telemetry::trace_flow("wire_msg", "net", /*begin=*/true, fid);
 
   // Shared-memory fast path: same-host peer with a wired ring pair and an
   // shm region active. The seq is assigned under p.mu regardless of which
@@ -985,9 +981,6 @@ std::size_t endpoint::release_staged(gex::runtime& rt, int rank) {
   std::size_t released = 0;
   auto it = p.staged.begin();
   while (it != p.staged.end() && it->first == p.next_deliver_seq) {
-    telemetry::span sp("wire_deliver", "net");
-    telemetry::trace_flow("wire_msg", "net", /*begin=*/false,
-                          flow_id(rank, rank_, it->first));
     otrace::note_id(it->second.msg.trace(), otrace::stage::wire_deliver,
                     it->second.edge);
     if (telemetry::compiled_in() && it->second.send_ns != 0) {
@@ -1177,10 +1170,6 @@ void endpoint::end_region(const progress_fn& progress) {
   // Quiescent: no counted frame is in flight anywhere, so the telemetry
   // final flush below is the only remaining wire traffic of this region.
   finish_region_telemetry(progress);
-  if (const char* tb = telemetry::live::trace_base()) {
-    (void)telemetry::write_trace_file(std::string(tb) + ".rank" +
-                                      std::to_string(rank_) + ".trace.json");
-  }
   // Region-exit otrace export: every rank writes its flight-recorder ring
   // as a Perfetto fragment; bench::merge_rank_otraces (or `cat` plus a
   // JSON array wrapper) joins them into one cross-rank timeline.

@@ -14,7 +14,6 @@
 #include <fstream>
 #include <map>
 #include <numeric>
-#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -493,79 +492,6 @@ TEST(NetSpmd, LiveAggregationLatencyDispositions) {
   aspen::spmd(n, tcp_cfg(), [] { aspen::barrier(); });  // rank 0 done
 }
 
-// Clock-aligned multi-rank tracing: each rank records wire spans and flow
-// events for one traffic region, writes its per-rank trace, and rank 0
-// stitches them. At least one message must appear as a bound flow — its
-// "s" (send) and "f" (staged delivery) share a binding id across two
-// different ranks' event streams.
-TEST(NetSpmd, MergedTraceCarriesFlowEvents) {
-  ASPEN_REQUIRE_LAUNCHED();
-  const int n = job_size();
-  if (!aspen::telemetry::compiled_in())
-    GTEST_SKIP() << "telemetry compiled out";
-
-  const std::string base = "/tmp/aspen_trace." + std::to_string(::getppid());
-  aspen::telemetry::clear_trace();
-  aspen::telemetry::enable_tracing(true);
-  aspen::spmd(n, tcp_cfg(), [n] {
-    const int target = (aspen::rank_me() + 1) % n;
-    for (int i = 0; i < 4; ++i)
-      (void)aspen::rpc(target, [](int x) { return x + 1; }, i).wait();
-    aspen::barrier();
-  });
-  aspen::telemetry::enable_tracing(false);
-
-  const int rank = aspen::net::endpoint::instance()->self_rank();
-  ASSERT_TRUE(aspen::telemetry::write_trace_file(
-      aspen::bench::rank_trace_path(base, rank)));
-  aspen::spmd(n, tcp_cfg(), [] { aspen::barrier(); });  // traces on disk
-
-  if (rank == 0) {
-    // Rank clocks were probed at bootstrap: every per-rank trace carries
-    // its offset so the merged timeline is aligned to rank 0.
-    std::ifstream own(aspen::bench::rank_trace_path(base, rank));
-    std::ostringstream oss;
-    oss << own.rdbuf();
-    EXPECT_NE(oss.str().find("\"clock_synced\":true"), std::string::npos);
-    EXPECT_NE(oss.str().find("\"clock_offset_ns\":"), std::string::npos);
-
-    const std::string out = base + ".merged.trace.json";
-    EXPECT_EQ(aspen::bench::merge_rank_traces(base, n, out), n);
-    std::ifstream f(out);
-    std::ostringstream ss;
-    ss << f.rdbuf();
-    const std::string s = ss.str();
-    EXPECT_NE(s.find("\"wire_send\""), std::string::npos);
-    EXPECT_NE(s.find("\"wire_deliver\""), std::string::npos);
-    // Collect flow binding ids by phase and require a bound pair.
-    auto ids_of = [&s](const char* ph) {
-      std::set<std::string> ids;
-      const std::string needle = std::string("\"ph\":\"") + ph + "\"";
-      for (std::size_t pos = s.find(needle); pos != std::string::npos;
-           pos = s.find(needle, pos + 1)) {
-        const std::size_t id_key = s.find("\"id\":\"", pos);
-        if (id_key == std::string::npos) break;
-        const std::size_t open = id_key + 6;
-        const std::size_t close = s.find('"', open);
-        if (close == std::string::npos) break;
-        ids.insert(s.substr(open, close - open));
-      }
-      return ids;
-    };
-    const std::set<std::string> starts = ids_of("s");
-    const std::set<std::string> finishes = ids_of("f");
-    EXPECT_FALSE(starts.empty());
-    bool bound = false;
-    for (const std::string& id : starts)
-      if (finishes.count(id) != 0) bound = true;
-    EXPECT_TRUE(bound) << "no flow id appears as both send and delivery";
-    (void)std::remove(out.c_str());
-  }
-
-  aspen::spmd(n, tcp_cfg(), [] { aspen::barrier(); });  // rank 0 done
-  (void)std::remove(aspen::bench::rank_trace_path(base, rank).c_str());
-}
-
 // ---------------------------------------------------------------------------
 // OtraceSpmd — sampled per-operation distributed tracing across real
 // processes (docs/OTRACE.md). Run via ctest net_spmd_otrace_* (tcp / shm /
@@ -787,6 +713,15 @@ TEST(OtraceSpmd, RegionExportMergesIntoOneFlowBoundTimeline) {
   }
 
   const int rank = aspen::net::endpoint::instance()->self_rank();
+  {
+    // Rank clocks were probed at bootstrap: every rank's export says so,
+    // which is what puts the merged timeline on rank 0's clock.
+    std::ifstream own(otrace::dump_path(base, rank));
+    std::ostringstream oss;
+    oss << own.rdbuf();
+    EXPECT_NE(oss.str().find("\"clock_synced\":true"), std::string::npos)
+        << otrace::dump_path(base, rank);
+  }
   aspen::spmd(n, otrace_cfg(), [] { aspen::barrier(); });  // exports on disk
 
   if (rank == 0) {
@@ -832,7 +767,7 @@ TEST(OtraceSpmd, RegionExportMergesIntoOneFlowBoundTimeline) {
     (void)std::remove(out.c_str());
   }
   aspen::spmd(n, otrace_cfg(), [] { aspen::barrier(); });  // rank 0 done
-  (void)std::remove(aspen::bench::rank_otrace_path(base, rank).c_str());
+  (void)std::remove(otrace::dump_path(base, rank).c_str());
 }
 
 TEST(OtraceSpmd, Sigusr2DumpsTheFlightRecorder) {

@@ -1,17 +1,20 @@
 // aspen::otrace unit tests: deterministic per-rank sampling, trace-id
 // structure, flight-recorder ring recording and wraparound, scope nesting,
-// the signal-safe dump, and the Perfetto export's flow-event pairing. Pure
-// in-process — the cross-rank causal-chain assertions live in
-// test_net_spmd.cpp (OtraceSpmd) under aspen-run.
+// the signal-safe dump, the Perfetto export's flow-event pairing, and real
+// in-process ops recorded from injection to fulfillment. Pure in-process —
+// the cross-rank causal-chain assertions live in test_net_spmd.cpp
+// (OtraceSpmd) under aspen-run.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "core/aspen.hpp"
 #include "core/otrace.hpp"
 
 namespace otrace = aspen::otrace;
@@ -274,6 +277,58 @@ TEST(Otrace, StageNamesAreStableAndDistinct) {
       EXPECT_NE(names[i], names[j]);
   EXPECT_EQ(names[0], "inject");
   EXPECT_EQ(names[12], "fulfill_deferred");
+}
+
+/// Five eager local puts and one deferred local get under spmd(1).
+void run_local_ops() {
+  aspen::spmd(1, [] {
+    auto gp = aspen::new_<std::uint64_t>(0);
+    for (int i = 0; i < 5; ++i)
+      aspen::rput(std::uint64_t{1}, gp,
+                  aspen::operation_cx::as_eager_future())
+          .wait();
+    (void)aspen::rget(gp, aspen::operation_cx::as_defer_future()).wait();
+    aspen::delete_(gp);
+  });
+}
+
+/// Index of the first record of `st` under trace `id`, or -1.
+long find_first(const std::vector<otrace::record_view>& recs,
+                std::uint64_t id, otrace::stage st) {
+  for (std::size_t i = 0; i < recs.size(); ++i)
+    if (recs[i].trace == id && recs[i].st == st) return static_cast<long>(i);
+  return -1;
+}
+
+// The one tracer covers in-process ops through the public API: every
+// sampled op records its injection, then the fulfillment its completion
+// mode promises — eager inline for as_eager_future, through the progress
+// engine for as_defer_future.
+TEST(Otrace, InProcessOpsRecordInjectThenFulfill) {
+  arm(1, "otrace_inproc");
+  run_local_ops();
+  const auto recs = otrace::snapshot_records();
+  std::vector<std::uint64_t> ids;  // in injection order
+  for (const auto& r : recs)
+    if (r.st == otrace::stage::inject) ids.push_back(r.trace);
+  ASSERT_EQ(ids.size(), 6u);
+  EXPECT_EQ(std::set<std::uint64_t>(ids.begin(), ids.end()).size(), 6u);
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    const otrace::stage done = i < 5 ? otrace::stage::fulfill_eager
+                                     : otrace::stage::fulfill_deferred;
+    const long inj = find_first(recs, ids[i], otrace::stage::inject);
+    const long ful = find_first(recs, ids[i], done);
+    ASSERT_GE(ful, 0) << "op " << i << " never recorded "
+                      << otrace::to_string(done);
+    EXPECT_LT(inj, ful) << "op " << i;
+    EXPECT_LE(recs[inj].t_ns, recs[ful].t_ns) << "op " << i;
+  }
+
+  // Disarmed, the same ops leave the recorder untouched.
+  otrace::configure(0, 1 << 16, nullptr);
+  const std::uint64_t before = otrace::records_appended();
+  run_local_ops();
+  EXPECT_EQ(otrace::records_appended(), before);
 }
 
 #else  // !ASPEN_TELEMETRY_ENABLED

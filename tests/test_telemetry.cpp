@@ -1,5 +1,5 @@
 // aspen::telemetry — counter semantics under both completion modes and both
-// conduits, snapshot deltas, trace export, and the compiled-out guarantees.
+// conduits, snapshot deltas, and the compiled-out guarantees.
 //
 // The counter assertions mirror test_eager_semantics.cpp: the same
 // operations that there prove allocation/queue behavior here must land in
@@ -7,7 +7,7 @@
 // cx_remote_async) exactly once each.
 #include <gtest/gtest.h>
 
-#include <sstream>
+#include <string>
 
 #include "core/aspen.hpp"
 
@@ -207,51 +207,14 @@ TEST(Telemetry, SnapshotJsonContainsSections) {
   EXPECT_NE(json.find("\"enabled\": true"), std::string::npos);
 }
 
-TEST(Telemetry, TraceSpansAreEmittedWhileEnabled) {
-  telemetry::clear_trace();
-  telemetry::enable_tracing(true);
-  aspen::spmd(1, [] {
-    auto gp = new_<std::uint64_t>(0);
-    for (int i = 0; i < 5; ++i)
-      rput(std::uint64_t{1}, gp, operation_cx::as_future()).wait();
-    (void)rget(gp, operation_cx::as_future()).wait();
-    barrier();
-    delete_(gp);
-  });
-  telemetry::enable_tracing(false);
-  EXPECT_GE(telemetry::trace_event_count(), 7u);  // 5 rput + rget + barrier
-
-  std::ostringstream os;
-  telemetry::write_trace(os);
-  const std::string json = os.str();
-  EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
-  EXPECT_NE(json.find("\"rput\""), std::string::npos);
-  EXPECT_NE(json.find("\"rget\""), std::string::npos);
-  EXPECT_NE(json.find("\"barrier\""), std::string::npos);
-  EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
-
-  // Disabled again: spans cost nothing and add nothing.
-  const auto n = telemetry::trace_event_count();
-  aspen::spmd(1, [] {
-    auto gp = new_<std::uint64_t>(0);
-    rput(std::uint64_t{1}, gp, operation_cx::as_future()).wait();
-    delete_(gp);
-  });
-  EXPECT_EQ(telemetry::trace_event_count(), n);
-  telemetry::clear_trace();
-  EXPECT_EQ(telemetry::trace_event_count(), 0u);
-}
-
 TEST(Telemetry, CompiledIn) { EXPECT_TRUE(telemetry::compiled_in()); }
 
 #else  // !ASPEN_TELEMETRY_ENABLED
 
 // Compiled-out configuration: the instrumentation must vanish. The record
-// carries no state, spans carry no state, and every snapshot reads zero.
+// carries no state and every snapshot reads zero.
 static_assert(std::is_empty_v<telemetry::detail::record>,
               "record must be stateless when telemetry is off");
-static_assert(sizeof(telemetry::span) == 1,
-              "span must be stateless when telemetry is off");
 static_assert(!telemetry::compiled_in());
 
 TEST(TelemetryOff, CountersStayZero) {
@@ -267,20 +230,6 @@ TEST(TelemetryOff, CountersStayZero) {
   });
   const auto a = telemetry::aggregate();
   EXPECT_EQ(a.completions_issued(), 0u);
-}
-
-TEST(TelemetryOff, TracingIsInert) {
-  telemetry::enable_tracing(true);
-  aspen::spmd(1, [] {
-    auto gp = new_<std::uint64_t>(0);
-    rput(std::uint64_t{1}, gp, operation_cx::as_future()).wait();
-    delete_(gp);
-  });
-  telemetry::enable_tracing(false);
-  EXPECT_EQ(telemetry::trace_event_count(), 0u);
-  std::ostringstream os;
-  telemetry::write_trace(os);
-  EXPECT_NE(os.str().find("\"traceEvents\""), std::string::npos);
 }
 
 TEST(TelemetryOff, JsonReportsDisabled) {

@@ -132,7 +132,7 @@ TEST(Watchdog, RequestReportForcesHealthyDump) {
 
 // ---------------------------------------------------------------------------
 // Cross-process legs (ctest net_spmd_watchdog_trip / _clean): run under
-// `aspen-run -n 2` with ASPEN_WATCHDOG_MS / ASPEN_WATCHDOG_REPORT set, plus
+// `aspen-run -n 2` with ASPEN_WATCHDOG_MS / ASPEN_TELEMETRY_TRACE set, plus
 // ASPEN_TEST_STALL_MS on the trip leg. Rank 1 stops progressing for the
 // stall window while rank 0 waits on a remote AMO; rank 0's watchdog must
 // trip (naming rank 0, the rank whose op is stuck) iff the stall exceeds
@@ -149,7 +149,7 @@ TEST(WatchdogTcp, StallTripsAndCleanDoesNot) {
     GTEST_SKIP() << "not under aspen-run (see ctest net_spmd_watchdog_*)";
   const unsigned long wd_ms = env_ms("ASPEN_WATCHDOG_MS");
   const unsigned long stall_ms = env_ms("ASPEN_TEST_STALL_MS");
-  const char* rb = std::getenv("ASPEN_WATCHDOG_REPORT");
+  const char* rb = std::getenv("ASPEN_TELEMETRY_TRACE");
   const std::string base = rb != nullptr && *rb != '\0' ? rb : "aspen";
   const bool expect_trip = stall_ms > wd_ms;
   // With telemetry compiled out (or the threshold unset) the region still
