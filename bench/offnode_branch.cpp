@@ -10,34 +10,16 @@
 // path — defer and eager must be statistically indistinguishable (the
 // operations never complete synchronously, so eager mode only adds the
 // branch).
-// A third leg runs the same study over *real* processes: the binary
-// re-launches itself under `aspen-run -n 2` on the conduit::tcp socket
-// transport, the child job writes its rows and per-rank telemetry sidecars
-// to files, and the parent folds them into the same table format. Disable
-// with ASPEN_BENCH_TCP=0.
-// A fourth leg repeats the process run on conduit::shm (same-host
-// shared-memory fabric): RMA and AMOs to a mapped peer are direct
-// loads/stores, so the eager bypass fires *cross-process* — the paper's
-// synchronous-completion fast path escaping the process boundary. The
-// parent reports the cx_eager_taken ratio shm vs tcp. Disable with
-// ASPEN_BENCH_SHM=0.
-#include <unistd.h>
-
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <string>
 
 #include "benchutil/options.hpp"
 #include "benchutil/stats.hpp"
 #include "benchutil/table.hpp"
-#include "benchutil/telemetry_report.hpp"
 #include "benchutil/timer.hpp"
 #include "core/aspen.hpp"
-#include "core/telemetry_live.hpp"
 #include "gex/perturb.hpp"
-#include "net/endpoint.hpp"
 
 namespace {
 
@@ -67,14 +49,10 @@ pass_result run_pass(const gex::config& gcfg, const aspen::bench::options& opt,
     global_ptr<std::uint64_t> gp;
     if (rank_me() == 1) gp = new_<std::uint64_t>(0);
     gp = broadcast(gp, 1);
-    if (rank_me() == 0 && gcfg.transport != gex::conduit::shm) {
-      // Sanity: the target really is treated as remote here. (conduit::shm
-      // is exempt — mapping the peer's segment makes the target local by
-      // design, which is exactly what its leg measures.)
-      if (gp.is_local())
-        std::cerr << "WARNING: target unexpectedly local; split locality "
-                     "model not in effect\n";
-    }
+    // Sanity: the target really is treated as remote here.
+    if (rank_me() == 0 && gp.is_local())
+      std::cerr << "WARNING: target unexpectedly local; split locality "
+                   "model not in effect\n";
 
     for (std::size_t vi = 0; vi < std::size(kVersions); ++vi) {
       set_version_config(version_config::make(kVersions[vi]));
@@ -126,175 +104,9 @@ void print_pass(const char* label, const pass_result& res) {
   t.print(std::cout);
 }
 
-// ---------------------------------------------------------------------------
-// The real-process legs: conduit::tcp and conduit::shm.
-// ---------------------------------------------------------------------------
-
-constexpr const char* kTcpResultEnv = "ASPEN_OFFNODE_TCP_RESULT";
-constexpr const char* kShmResultEnv = "ASPEN_OFFNODE_SHM_RESULT";
-
-/// Child mode: this process is one rank of the `aspen-run -n 2` job the
-/// parent spawned. Runs the pass on the requested process conduit, then
-/// rank 0 writes the result rows and every rank its telemetry sidecar.
-int run_net_child(const char* result_path, bool shm) {
-  auto opt = aspen::bench::options::from_env();
-  // Every op crosses a process boundary; far fewer iterations are enough.
-  const std::size_t ops = std::max<std::size_t>(500, opt.micro_ops / 1000);
-  gex::config gcfg;
-  gcfg.transport = shm ? gex::conduit::shm : gex::conduit::tcp;
-  const char* tag = shm ? "offnode_shm" : "offnode_tcp";
-
-  const auto before = telemetry::local_snapshot();
-  const pass_result res = run_pass(gcfg, opt, ops);
-  const auto used = telemetry::local_snapshot() - before;
-
-  const int rank = net::endpoint::instance()->self_rank();
-  const bool live = telemetry::live::enabled();
-  const bool force_sidecars =
-      aspen::bench::env_size_t("ASPEN_BENCH_SIDECARS", 0) != 0;
-  if (!live) {
-    (void)aspen::bench::write_telemetry_sidecar(
-        aspen::bench::rank_sidecar_path(result_path, rank), tag, used);
-  } else if (force_sidecars) {
-    // CI cross-check mode: sidecars carry the frozen region-exit totals
-    // the live plane shipped, and rank 0 also dumps its in-memory job
-    // aggregate, so the parent can diff the two aggregation paths.
-    (void)aspen::bench::write_telemetry_sidecar(
-        aspen::bench::rank_sidecar_path(result_path, rank), tag,
-        telemetry::live::shipped_total());
-    if (rank == 0)
-      (void)aspen::bench::write_telemetry_sidecar(
-          std::string(result_path) + ".live.json",
-          (std::string(tag) + "_live").c_str(),
-          telemetry::live::job_snapshot());
-  } else if (rank == 0) {
-    // Pure live mode: the merged disposition report comes straight out of
-    // rank 0's collector — zero telemetry files touch the filesystem.
-    aspen::bench::print_live_telemetry_report(std::cout);
-  }
-  if (rank == 0) {
-    std::ofstream f(result_path);
-    if (!f) return 1;
-    for (std::size_t vi = 0; vi < std::size(kVersions); ++vi)
-      f << res.rput_ns[vi] << ' ' << res.rget_ns[vi] << ' ' << res.amo_ns[vi]
-        << '\n';
-    if (!f) return 1;
-  }
-  return 0;
-}
-
-/// Parent mode: spawn `aspen-run -n 2 <self>` on one process conduit and
-/// read the rows back. Returns true and fills `merged_out` (the job's
-/// sidecar-merged counters) when the leg ran and merged cleanly.
-bool run_net_leg(const char* self_hint, bool shm,
-                 telemetry::snapshot* merged_out) {
-  const char* conduit = shm ? "shm" : "tcp";
-  if (aspen::bench::env_size_t(shm ? "ASPEN_BENCH_SHM" : "ASPEN_BENCH_TCP",
-                               1) == 0)
-    return false;
-
-  char self[4096];
-  const ssize_t n = ::readlink("/proc/self/exe", self, sizeof self - 1);
-  if (n <= 0) {
-    std::snprintf(self, sizeof self, "%s", self_hint);
-  } else {
-    self[n] = '\0';
-  }
-  std::string launcher;
-  if (const char* env = std::getenv("ASPEN_RUN")) {
-    launcher = env;
-  } else {
-    // Default build layout: bench/offnode_branch next to src/aspen-run.
-    const std::string dir(self, std::string(self).find_last_of('/'));
-    launcher = dir + "/../src/aspen-run";
-  }
-  if (::access(launcher.c_str(), X_OK) != 0) {
-    std::cout << "\nconduit::" << conduit
-              << " leg skipped: launcher not found at " << launcher
-              << " (set ASPEN_RUN to override).\n";
-    return false;
-  }
-
-  const std::string result =
-      std::string("offnode_branch.") + conduit + ".rows";
-  const char* result_env = shm ? kShmResultEnv : kTcpResultEnv;
-  ::setenv(result_env, result.c_str(), 1);
-  const std::string cmd = launcher + " -n 2 " + self;
-  std::cout << "\nconduit::" << conduit
-            << " (2 OS processes via aspen-run):\n";
-  const int rc = std::system(cmd.c_str());
-  ::unsetenv(result_env);
-  if (rc != 0) {
-    std::cout << "conduit::" << conduit << " leg failed (exit " << rc
-              << "), skipping.\n";
-    return false;
-  }
-
-  pass_result res;
-  std::ifstream f(result);
-  for (std::size_t vi = 0; vi < std::size(kVersions); ++vi)
-    f >> res.rput_ns[vi] >> res.rget_ns[vi] >> res.amo_ns[vi];
-  if (!f) {
-    std::cout << "conduit::" << conduit
-              << " leg produced no result rows, skipping.\n";
-    return false;
-  }
-  print_pass(shm ? "off-node, shm processes" : "off-node, tcp processes",
-             res);
-  if (shm)
-    std::cout << "expectation: near-memcpy latency — the peer's segment is "
-                 "mapped, so eager completion fires cross-process and no "
-                 "AM round trip occurs for RMA/AMO.\n";
-  else
-    std::cout << "expectation: higher absolute latency (real sockets), "
-                 "eager vs defer still ~1.00x — no cross-process op can "
-                 "complete synchronously.\n";
-
-  telemetry::snapshot merged{};
-  const int got = aspen::bench::merge_rank_sidecars(result, 2, &merged);
-  if (got == 2 && telemetry::compiled_in()) {
-    std::cout << "merged per-rank telemetry (" << got << " sidecars): "
-              << "net_msgs_sent=" << merged.get(telemetry::counter::net_msgs_sent)
-              << " shm_msgs_sent="
-              << merged.get(telemetry::counter::shm_msgs_sent)
-              << " cx_eager_taken="
-              << merged.get(telemetry::counter::cx_eager_taken)
-              << " cx_remote_async="
-              << merged.get(telemetry::counter::cx_remote_async) << "\n";
-    std::cout << "issue->completion latency by disposition (merged): "
-              << aspen::bench::disposition_latency_json(merged) << "\n";
-    if (merged_out != nullptr) *merged_out = merged;
-    if (telemetry::live::enabled()) {
-      telemetry::snapshot live{};
-      if (aspen::bench::read_telemetry_sidecar(result + ".live.json", nullptr,
-                                               &live)) {
-        if (live.to_json() == merged.to_json())
-          std::cout << "live-aggregate matches sidecar-merged totals "
-                       "(bit-identical)\n";
-        else
-          std::cout << "WARNING: live aggregate disagrees with the sidecar "
-                       "merge\n  live:   "
-                    << live.to_json() << "\n  merged: " << merged.to_json()
-                    << "\n";
-      }
-    }
-    return true;
-  }
-  return false;
-}
-
 }  // namespace
 
-int main(int, char** argv) {
-  // Relaunched under aspen-run? Then this process is a rank of the tcp or
-  // shm child job, not the driver.
-  if (const char* result = std::getenv(kShmResultEnv);
-      result != nullptr && aspen::net::endpoint::launched())
-    return run_net_child(result, /*shm=*/true);
-  if (const char* result = std::getenv(kTcpResultEnv);
-      result != nullptr && aspen::net::endpoint::launched())
-    return run_net_child(result, /*shm=*/false);
-
+int main() {
   auto opt = aspen::bench::options::from_env();
   // Off-node latency is dominated by the AM round trip; fewer iterations
   // suffice for stable means.
@@ -332,59 +144,6 @@ int main(int, char** argv) {
                run_pass(pcfg, opt, std::max<std::size_t>(500, ops / 10)));
     std::cout << "expectation: higher absolute latency, eager vs defer still "
                  "~1.00x under injected delay.\n";
-  }
-
-  telemetry::snapshot tcp_merged{}, shm_merged{};
-  const bool have_tcp = run_net_leg(argv[0], /*shm=*/false, &tcp_merged);
-  const bool have_shm = run_net_leg(argv[0], /*shm=*/true, &shm_merged);
-
-  // Optional aggregation leg (docs/AGG.md): the same tcp process run with
-  // the wire coalescing fabric armed. This workload is latency-bound (one
-  // op in flight per iteration), so MUPS-style gains don't apply — the
-  // claim here is the conservative one: aggregation must not disturb the
-  // latency-bound path. The progress-tick watermark carries that claim: a
-  // batch no new frame joined across a pump tick flushes immediately, so a
-  // blocked single-op waiter ships on its second progress call.
-  if (have_tcp && aspen::bench::env_size_t("ASPEN_BENCH_AGG", 0) != 0) {
-    ::setenv("ASPEN_AGG", "1", 1);
-    std::cout << "\nre-running the tcp leg with ASPEN_AGG=1 (wire "
-                 "aggregation armed):\n";
-    telemetry::snapshot agg_merged{};
-    const bool have_agg = run_net_leg(argv[0], /*shm=*/false, &agg_merged);
-    ::unsetenv("ASPEN_AGG");
-    if (have_agg && telemetry::compiled_in()) {
-      using c = telemetry::counter;
-      std::cout << "aggregation telemetry (merged): agg_frames_coalesced="
-                << agg_merged.get(c::agg_frames_coalesced)
-                << " agg_flush_forced=" << agg_merged.get(c::agg_flush_forced)
-                << " agg_flush_age=" << agg_merged.get(c::agg_flush_age)
-                << "\n";
-      std::cout << "expectation: eager vs defer stays ~1.00x with "
-                   "aggregation armed, and absolute latency matches the "
-                   "unaggregated leg — single-op round trips go out on the "
-                   "progress-tick watermark (agg_flush_age), not held to "
-                   "the wall-clock age.\n";
-    }
-  }
-
-  // The paper's cross-process claim in one line: the same 2-process
-  // workload flips its cross-rank completions from fully deferred (tcp:
-  // cx_eager_taken == 0) to overwhelmingly eager (shm maps the peer).
-  if (have_tcp && have_shm && telemetry::compiled_in()) {
-    using c = telemetry::counter;
-    const std::uint64_t tcp_eager = tcp_merged.get(c::cx_eager_taken);
-    const std::uint64_t shm_eager = shm_merged.get(c::cx_eager_taken);
-    std::cout << "\ncx_eager_taken shm vs tcp: " << shm_eager << " vs "
-              << tcp_eager;
-    if (tcp_eager == 0)
-      std::cout << " (tcp structurally 0 cross-process; shm ratio "
-                   "undefined/infinite)";
-    else
-      std::cout << " (" << static_cast<double>(shm_eager) /
-                               static_cast<double>(tcp_eager)
-                << "x)";
-    std::cout << "\nexpectation: shm > 0 — eager completion escapes the "
-                 "process boundary when segments are mapped.\n";
   }
   return 0;
 }

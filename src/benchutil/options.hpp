@@ -48,11 +48,6 @@
 //                          (default 64 MiB)
 //   ASPEN_NET_SEGMENT_BASE fixed virtual address where every rank process
 //                          maps the segment arena (default 0x2a5e00000000)
-//   ASPEN_BENCH_TCP        offnode_branch only: zero skips the aspen-run
-//                          real-process leg (default 1)
-//   ASPEN_RUN              offnode_branch only: path to the aspen-run
-//                          launcher (default: ../src/aspen-run relative to
-//                          the benchmark binary)
 //
 // conduit::shm (same-host shared-memory fabric; see docs/SHM.md). The
 // ASPEN_SHM_* family is read by the same net::apply_env pass:
@@ -69,11 +64,8 @@
 //                          rounding; payloads up to half of it stage
 //                          through the bulk ring, larger ones fall back to
 //                          the socket rendezvous (default 8 MiB)
-//   ASPEN_BENCH_SHM        offnode_branch / gups_rank_sweep only: non-zero
-//                          adds a conduit::shm leg next to the tcp leg
-//                          (default 1 in offnode_branch, 0 in the sweep)
 //
-// Wire aggregation fabric (aspen::agg; see docs/AGG.md). Read by the same
+// Wire aggregation fabric (see docs/AGG.md). Read by the same
 // net::apply_env pass at every region entry:
 //   ASPEN_AGG              non-zero arms per-peer coalescing: eager records
 //                          batch per peer and ship as one socket frame (or
@@ -96,11 +88,6 @@
 //                          the bound park in bounded flush-and-retry spins
 //                          (counted by net_sendq_parked) instead of growing
 //                          the queue without limit (default 0 = unbounded)
-//   ASPEN_BENCH_AGG        gups_rank_sweep / offnode_branch only: non-zero
-//                          adds the aggregation-on legs (tcp ASPEN_AGG=0
-//                          vs 1 MUPS + checksum identity in the sweep; the
-//                          latency-parity re-run in offnode_branch)
-//                          (default 0)
 //
 // Live cross-process telemetry (see docs/TELEMETRY.md):
 //   ASPEN_TELEMETRY_INTERVAL_MS  non-zero ranks push delta-encoded counter
@@ -112,11 +99,6 @@
 //                          file: otrace exports and dumps
 //                          (<base>.rank<R>.otrace.json) and watchdog
 //                          health reports (default "aspen")
-//   ASPEN_BENCH_SIDECARS   offnode_branch only: with live telemetry on,
-//                          non-zero also writes the per-rank sidecars plus
-//                          rank 0's <result>.live.json so the parent can
-//                          diff the live aggregate against the sidecar
-//                          merge (the CI cross-check; default 0)
 //
 // Stall watchdog and the aspen-top monitor (see docs/TELEMETRY.md):
 //   ASPEN_WATCHDOG_MS      non-zero arms the stall watchdog: a rank whose
@@ -128,6 +110,8 @@
 //                          (unset/0 = off)
 //   ASPEN_TOP_INTERVAL_MS  aspen-top refresh interval when --interval is
 //                          not given (default 500, clamped to 1 min)
+//   ASPEN_RUN              aspen-top: path to the aspen-run launcher
+//                          (default: aspen-run next to the aspen-top binary)
 //
 // Operation tracing and the flight recorder (see docs/OTRACE.md):
 //   ASPEN_TRACE_SAMPLE     "N" or "1/N": one injected op in N draws a

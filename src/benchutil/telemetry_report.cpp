@@ -6,7 +6,6 @@
 
 #include "benchutil/table.hpp"
 #include "core/otrace.hpp"
-#include "core/telemetry_live.hpp"
 
 namespace aspen::bench {
 
@@ -260,34 +259,6 @@ int merge_rank_sidecars(const std::string& base, int nranks,
   }
   if (out != nullptr) *out = merge_snapshots(parts);
   return static_cast<int>(parts.size());
-}
-
-void print_live_telemetry_report(std::ostream& os) {
-  if (!telemetry::live::enabled()) {
-    os << "[telemetry] live aggregation disabled "
-          "(set ASPEN_TELEMETRY_INTERVAL_MS)\n";
-    return;
-  }
-  const int nranks = telemetry::live::collector_ranks();
-  if (nranks == 0) {
-    os << "[telemetry] no live collector on this rank "
-          "(only rank 0 aggregates)\n";
-    return;
-  }
-  os << "live job-wide telemetry (" << nranks << " ranks, no sidecars):\n";
-  print_telemetry_summary(os, telemetry::live::job_snapshot());
-  table t({"rank", "updates", "sendq_bytes", "sendq_high_water",
-           "staged_msgs", "lpc_mailbox"});
-  for (int r = 0; r < nranks; ++r) {
-    const telemetry::live::gauges g = telemetry::live::rank_gauges(r);
-    t.add_row({std::to_string(r),
-               std::to_string(telemetry::live::rank_updates(r)),
-               std::to_string(g.sendq_bytes),
-               std::to_string(g.sendq_high_water),
-               std::to_string(g.staged_msgs),
-               std::to_string(g.lpc_mailbox_depth)});
-  }
-  t.print(os);
 }
 
 int merge_rank_otraces(const std::string& base, int nranks,

@@ -37,14 +37,16 @@ bool write_telemetry_sidecar(const std::string& path,
 [[nodiscard]] telemetry::snapshot stable_aggregate();
 
 // ---------------------------------------------------------------------------
-// Cross-process aggregation (conduit::tcp jobs).
+// Cross-process aggregation by file (conduit::tcp jobs).
 //
 // Under `aspen-run` every rank is its own process, so there is no shared
 // telemetry registry to aggregate() over: each rank writes its own sidecar
-// (`rank_sidecar_path`) and the driver — the launcher's parent or rank 0 —
-// reads them back and merges. Counters and monotone sums add across ranks;
-// high-water marks take the max (a queue depth in one process says nothing
-// about another's).
+// (`rank_sidecar_path`) and one reader merges them. Counters and monotone
+// sums add across ranks; high-water marks take the max (a queue depth in
+// one process says nothing about another's). The live plane
+// (telemetry::live) aggregates in memory instead; this merge is its
+// reference, which NetSpmd.LiveAggregationMatchesSidecarMerge holds bit
+// for bit.
 // ---------------------------------------------------------------------------
 
 /// "<base>.rank<r>.telemetry.json" — the per-rank sidecar naming scheme.
@@ -69,19 +71,8 @@ int merge_rank_sidecars(const std::string& base, int nranks,
                         telemetry::snapshot* out);
 
 // ---------------------------------------------------------------------------
-// Live aggregation (no sidecars) and multi-rank timelines.
-//
-// With ASPEN_TELEMETRY_INTERVAL_MS set, every non-zero rank streams counter
-// deltas to rank 0 over the wire (frame_kind::telemetry) and rank 0 holds
-// the job-wide merge in memory — telemetry::live::job_snapshot(). These
-// helpers render that aggregate and stitch the per-rank otrace exports
-// written at region exit while ASPEN_TRACE_SAMPLE is set.
+// Multi-rank timelines.
 // ---------------------------------------------------------------------------
-
-/// Print rank 0's live job-wide aggregate: the merged counter table plus a
-/// per-rank breakdown (update counts and transport gauges). Call on rank 0
-/// after a region ends; prints a notice when live telemetry is disabled.
-void print_live_telemetry_report(std::ostream& os);
 
 /// Stitch the per-rank otrace exports `otrace::dump_path(base, r)` for r
 /// in [0, nranks) (region-exit Perfetto fragments with 's'/'f' flow events

@@ -26,43 +26,6 @@ rank_context*& tls_context() noexcept {
 
 namespace detail {
 
-namespace {
-struct hook_entry {
-  std::uint64_t id;
-  progress_hook fn;
-};
-thread_local std::vector<hook_entry> t_progress_hooks;
-thread_local std::uint64_t t_next_hook_id = 1;
-thread_local bool t_in_hooks = false;
-
-std::size_t run_progress_hooks() {
-  if (t_progress_hooks.empty() || t_in_hooks) return 0;
-  t_in_hooks = true;  // a hook's sends may re-enter progress()
-  std::size_t n = 0;
-  // Index loop: a hook body may register or remove hooks; re-read the size
-  // each step and tolerate the vector shifting under erase.
-  for (std::size_t i = 0; i < t_progress_hooks.size(); ++i)
-    n += t_progress_hooks[i].fn();
-  t_in_hooks = false;
-  return n;
-}
-}  // namespace
-
-std::uint64_t add_progress_hook(progress_hook fn) {
-  const std::uint64_t id = t_next_hook_id++;
-  t_progress_hooks.push_back({id, std::move(fn)});
-  return id;
-}
-
-void remove_progress_hook(std::uint64_t id) noexcept {
-  auto& v = t_progress_hooks;
-  for (std::size_t i = 0; i < v.size(); ++i)
-    if (v[i].id == id) {
-      v.erase(v.begin() + static_cast<std::ptrdiff_t>(i));
-      return;
-    }
-}
-
 void wait_yield() noexcept {
   // Under a wired (socket) conduit, idle waits park on the transport so the
   // peer process this rank is waiting on gets the CPU immediately — a plain
@@ -90,7 +53,6 @@ std::size_t progress() {
   // AM reply handlers and routes completions back to them via LPC.
   if (c.master == nullptr || c.master->active_with_caller())
     n += c.rt->poll(c.rank);
-  n += detail::run_progress_hooks();
   const bool prev = c.in_progress;
   c.in_progress = true;
   n += detail::drain_active_personas();

@@ -165,18 +165,6 @@ namespace detail {
 /// Yield the OS scheduler slice (used by idle wait loops to stay fair when
 /// rank threads outnumber cores).
 void wait_yield() noexcept;
-
-/// Progress hooks: thread-local callbacks the progress engine invokes on
-/// every progress() call of the registering thread, AFTER the substrate
-/// poll. A hook returns the amount of work it performed (0 when idle) so
-/// drain loops of the form `while (progress() != 0)` still terminate.
-/// This is the auto-flush vehicle of the aggregation stores
-/// (src/agg/store.hpp): a store registers a hook that ships any bucket
-/// older than its age watermark. Hooks must be removed (on the same
-/// thread) before the thread's rank context ends.
-using progress_hook = std::function<std::size_t()>;
-std::uint64_t add_progress_hook(progress_hook fn);
-void remove_progress_hook(std::uint64_t id) noexcept;
 }  // namespace detail
 
 /// Run `fn` as an SPMD program on `nranks` rank threads. Blocks until all

@@ -66,9 +66,6 @@ constexpr const char* kCounterNames[] = {
     "agg_flush_frames",
     "agg_flush_age",
     "agg_flush_forced",
-    "agg_bytes_saved",
-    "agg_store_buckets_shipped",
-    "agg_store_elems",
     "net_sendq_parked",
     "net_idle_unwatched",
     "otrace_sampled",

@@ -137,16 +137,13 @@ enum class counter : std::size_t {
   shm_ring_full,       ///< pushes that fell back to the socket (ring full)
   shm_peers_mapped,    ///< peers whose segments were mapped at bootstrap
 
-  // Small-message aggregation (aspen::agg, docs/AGG.md): per-peer wire
-  // coalescing in net::endpoint plus the RPC aggregation store.
+  // Small-message aggregation (docs/AGG.md): per-peer wire coalescing in
+  // net::endpoint.
   agg_frames_coalesced,  ///< eager frames that shared a flush with others
   agg_flush_bytes,       ///< batch flushes triggered by the byte watermark
   agg_flush_frames,      ///< batch flushes triggered by the frame count
   agg_flush_age,         ///< batch flushes triggered by the age watermark
   agg_flush_forced,      ///< flushes forced by control traffic / idle / drain
-  agg_bytes_saved,       ///< per-message overhead bytes avoided by the store
-  agg_store_buckets_shipped,  ///< agg_store buckets shipped as one bulk AM
-  agg_store_elems,            ///< elements pushed through agg_store buckets
   net_sendq_parked,      ///< sends parked on the ASPEN_NET_SENDQ_MAX bound
 
   // Socket data plane (net::io_backend).

@@ -272,12 +272,6 @@ void collector_begin_epoch() {
   c.finals_this_epoch = 0;
 }
 
-int collector_ranks() {
-  collector& c = coll();
-  std::lock_guard<std::mutex> lk(c.mu);
-  return c.nranks;
-}
-
 snapshot job_snapshot() {
   collector& c = coll();
   std::lock_guard<std::mutex> lk(c.mu);

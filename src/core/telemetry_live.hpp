@@ -131,9 +131,6 @@ void collector_note_local(const snapshot& total, const gauges& g);
 /// was consumed).
 void collector_begin_epoch();
 
-/// Job size the collector was reset for (0 if never).
-[[nodiscard]] int collector_ranks();
-
 /// The job-wide aggregate: merge_into over every rank's accumulated total.
 /// Non-zero ranks' slots refresh with each received update; rank 0's own
 /// slot refreshes at region boundaries (collector_note_local).

@@ -133,13 +133,13 @@ struct shm_config {
   std::size_t bulk_ring_bytes = std::size_t{8} << 20;
 };
 
-/// Tunables of the small-message aggregation layer (`aspen::agg`,
-/// docs/AGG.md): per-peer batching of eager records into one socket frame
-/// or one shm ring record. Each knob is overridable through the ASPEN_AGG*
-/// environment family unless net_config::honor_env is cleared. Aggregation
-/// never reorders: records accumulate in seq order and any non-eager
-/// traffic to a peer ships everything staged ahead of it, so the
-/// staged-delivery bit-identity guarantees are unaffected.
+/// Tunables of the small-message aggregation layer (docs/AGG.md): per-peer
+/// batching of eager records into one socket frame or one shm ring record.
+/// Each knob is overridable through the ASPEN_AGG* environment family
+/// unless net_config::honor_env is cleared. Aggregation never reorders:
+/// records accumulate in seq order and any non-eager traffic to a peer
+/// ships everything staged ahead of it, so the staged-delivery
+/// bit-identity guarantees are unaffected.
 struct agg_config {
   /// Master switch. Env: ASPEN_AGG (1 enables).
   bool enabled = false;

@@ -242,32 +242,31 @@ segment_arena::segment_arena(int nranks, std::size_t bytes_per_rank,
     }
     return;
   }
-  if (fixed_base != 0) {
-    // conduit::tcp: identical placement in every rank's process. NOREPLACE
-    // (not plain MAP_FIXED) so an address-space collision is a hard,
-    // diagnosable error instead of silently clobbering a live mapping;
-    // NORESERVE so reserving all ranks' segments costs no commit charge.
-    const std::size_t page = 4096;
-    mapped_bytes_ = round_up(total, page);
-    void* p = mmap(reinterpret_cast<void*>(fixed_base), mapped_bytes_,
-                   PROT_READ | PROT_WRITE,
-                   MAP_PRIVATE | MAP_ANONYMOUS | MAP_FIXED_NOREPLACE |
-                       MAP_NORESERVE,
-                   -1, 0);
-    if (p == MAP_FAILED || p != reinterpret_cast<void*>(fixed_base)) {
-      if (p != MAP_FAILED) munmap(p, mapped_bytes_);
+  // One anonymous private mapping for every other arena; its pages read
+  // as zero and are faulted in only when a rank first touches them.
+  // NORESERVE so reserving all ranks' segments costs no commit charge.
+  // conduit::tcp adds identical placement in every rank's process:
+  // NOREPLACE (not plain MAP_FIXED) so an address-space collision is a
+  // hard, diagnosable error instead of silently clobbering a live mapping.
+  const std::size_t page = 4096;
+  mapped_bytes_ = round_up(total, page);
+  int flags = MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE;
+  if (fixed_base != 0) flags |= MAP_FIXED_NOREPLACE;
+  void* p = mmap(reinterpret_cast<void*>(fixed_base), mapped_bytes_,
+                 PROT_READ | PROT_WRITE, flags, -1, 0);
+  if (p == MAP_FAILED ||
+      (fixed_base != 0 && p != reinterpret_cast<void*>(fixed_base))) {
+    if (p != MAP_FAILED) munmap(p, mapped_bytes_);
+    if (fixed_base != 0)
       aspen::fatal("gex: cannot map the segment arena at fixed base "
                    "0x%llx (%zu bytes): %s. Another mapping occupies the "
                    "range; pick a different ASPEN_NET_SEGMENT_BASE.",
                    static_cast<unsigned long long>(fixed_base), mapped_bytes_,
                    std::strerror(errno));
-    }
-    aligned_base_ = static_cast<std::byte*>(p);
-  } else {
-    storage_ = std::make_unique<std::byte[]>(total + 64);
-    auto addr = reinterpret_cast<std::uintptr_t>(storage_.get());
-    aligned_base_ = storage_.get() + (round_up(addr, 64) - addr);
+    aspen::fatal("gex: cannot map the segment arena (%zu bytes): %s",
+                 mapped_bytes_, std::strerror(errno));
   }
+  aligned_base_ = static_cast<std::byte*>(p);
   segments_.reserve(static_cast<std::size_t>(nranks));
   for (int r = 0; r < nranks; ++r) {
     segments_.push_back(std::make_unique<segment>(

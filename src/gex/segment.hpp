@@ -94,18 +94,19 @@ class segment {
   segment_allocator alloc_;
 };
 
-/// The process-wide arena: one big allocation divided into per-rank
-/// segments, plus pointer -> owning-rank resolution.
+/// The process-wide arena: one big mapping divided into per-rank segments,
+/// plus pointer -> owning-rank resolution.
 ///
-/// With `fixed_base == 0` the arena lives in ordinary heap storage (the
-/// in-process conduits). A non-zero `fixed_base` mmaps the whole arena at
-/// exactly that virtual address (MAP_FIXED_NOREPLACE | MAP_NORESERVE):
-/// conduit::tcp maps the same layout at the same address in every rank's
-/// process, so a raw segment address minted by one rank dereferences to the
-/// corresponding location in any process — the property global_ptr and the
-/// RMA wire protocol rely on. Pages are reserved for all ranks' segments
-/// but only the owning rank's pages are ever touched locally (NORESERVE
-/// keeps the untouched remainder free).
+/// The arena is one anonymous private mmap (MAP_NORESERVE): pages read as
+/// zero and are faulted in only when first touched, so constructing an
+/// arena touches no page beyond each segment's allocator header. With
+/// `fixed_base == 0` (the in-process conduits) the kernel picks the
+/// address. A non-zero `fixed_base` maps the arena at exactly that virtual
+/// address (MAP_FIXED_NOREPLACE): conduit::tcp maps the same layout at the
+/// same address in every rank's process, so a raw segment address minted
+/// by one rank dereferences to the corresponding location in any process —
+/// the property global_ptr and the RMA wire protocol rely on. There only
+/// the owning rank's pages are ever touched locally.
 /// When `shm_shared` is set (conduit::shm with an active shm::mapper) the
 /// fixed-address window is populated by the mapper instead: each rank's
 /// slice is a MAP_SHARED view of that rank's data memfd, so the same
@@ -130,10 +131,9 @@ class segment_arena {
   [[nodiscard]] int owner_of(const void* p) const noexcept;
 
  private:
-  std::unique_ptr<std::byte[]> storage_;
   std::byte* aligned_base_ = nullptr;
   std::size_t bytes_per_rank_ = 0;
-  /// Non-zero size of the fixed mmap when fixed_base was used.
+  /// Size of the arena's mapping, unmapped by the destructor.
   std::size_t mapped_bytes_ = 0;
   std::vector<std::unique_ptr<segment>> segments_;
 };

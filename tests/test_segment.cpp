@@ -1,8 +1,11 @@
 // Segment-allocator tests: boundary-tag invariants, coalescing, alignment,
 // exhaustion, plus a randomized property test of alloc/free sequences.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <cstring>
+#include <fstream>
 #include <map>
 #include <random>
 #include <vector>
@@ -193,6 +196,36 @@ TEST(SegmentArena, PerRankAllocatorsIndependent) {
   EXPECT_EQ(arena.owner_of(b), 1);
   arena.of(0).allocator().deallocate(a);
   arena.of(1).allocator().deallocate(b);
+}
+
+/// Resident bytes of this process (second field of /proc/self/statm), or
+/// 0 when the file cannot be read.
+std::size_t resident_bytes() {
+  std::ifstream f("/proc/self/statm");
+  std::size_t size_pages = 0, resident_pages = 0;
+  if (!(f >> size_pages >> resident_pages)) return 0;
+  return resident_pages * static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+}
+
+TEST(SegmentArena, InProcessArenaTouchesNoPagesUpFront) {
+  // Every spmd() region builds one of these, so constructing it must not
+  // fault in segment pages that no rank has touched yet.
+  const std::size_t before = resident_bytes();
+  if (before == 0) GTEST_SKIP() << "/proc/self/statm unreadable";
+  segment_arena arena(4, std::size_t{64} << 20);
+  const std::size_t after = resident_bytes();
+  const std::size_t grown = after > before ? after - before : 0;
+  EXPECT_LT(grown, std::size_t{16} << 20)
+      << "constructing a 4 x 64 MiB arena made " << (grown >> 20)
+      << " MiB resident";
+
+  // Untouched segment memory still reads as zero.
+  constexpr std::size_t kBytes = std::size_t{1} << 20;
+  const auto* p = static_cast<const unsigned char*>(
+      arena.of(3).allocator().allocate(kBytes));
+  ASSERT_NE(p, nullptr);
+  EXPECT_TRUE(
+      std::all_of(p, p + kBytes, [](unsigned char b) { return b == 0; }));
 }
 
 }  // namespace
