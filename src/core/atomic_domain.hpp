@@ -288,7 +288,6 @@ class atomic_domain {
                 Cxs cxs) const -> detail::cx_return_t<Cxs, T> {
     check_registered(op);
     telemetry::op_scope os(telemetry::op_class::amo);
-    otrace::op_scope ts;
     telemetry::count(telemetry::counter::amo_fetching);
     detail::rank_context& c = detail::ctx();
     detail::no_remote_cx rs;
@@ -310,7 +309,6 @@ class atomic_domain {
                Cxs cxs) const -> detail::cx_return_t<Cxs> {
     check_registered(op);
     telemetry::op_scope os(telemetry::op_class::amo);
-    otrace::op_scope ts;
     telemetry::count(telemetry::counter::amo_sideeffect);
     detail::rank_context& c = detail::ctx();
     detail::no_remote_cx rs;
@@ -332,7 +330,6 @@ class atomic_domain {
                Cxs cxs) const -> detail::cx_return_t<Cxs> {
     check_registered(op);
     telemetry::op_scope os(telemetry::op_class::amo);
-    otrace::op_scope ts;
     telemetry::count(telemetry::counter::amo_nonfetching);
     detail::rank_context& c = detail::ctx();
     if (!c.ver.nonfetching_atomics)

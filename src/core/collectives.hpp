@@ -107,22 +107,24 @@ template <typename T>
     std::vector<std::byte> mine;
     if (c.rank == root) {
       mine.resize(v.size() * sizeof(T));
-      std::memcpy(mine.data(), v.data(), mine.size());
+      if (!mine.empty()) std::memcpy(mine.data(), v.data(), mine.size());
     }
     auto all = detail::coll_wire_exchange(detail::kWorldCollWireKey,
                                           cs.wire_seq++, mine);
     const auto& blob = all[static_cast<std::size_t>(root)];
     std::vector<T> out(blob.size() / sizeof(T));
-    std::memcpy(out.data(), blob.data(), blob.size());
+    if (!blob.empty()) std::memcpy(out.data(), blob.data(), blob.size());
     return out;
   }
   if (c.rank == root) {
     cs.bulk_buf.resize(v.size() * sizeof(T));
-    std::memcpy(cs.bulk_buf.data(), v.data(), cs.bulk_buf.size());
+    if (!cs.bulk_buf.empty())
+      std::memcpy(cs.bulk_buf.data(), v.data(), cs.bulk_buf.size());
   }
   detail::coll_rendezvous();
   std::vector<T> out(cs.bulk_buf.size() / sizeof(T));
-  std::memcpy(out.data(), cs.bulk_buf.data(), cs.bulk_buf.size());
+  if (!cs.bulk_buf.empty())
+    std::memcpy(out.data(), cs.bulk_buf.data(), cs.bulk_buf.size());
   detail::coll_rendezvous();
   return out;
 }

@@ -116,13 +116,11 @@ template <typename... V>
   c->deps = 1;
   c->set_value(vals...);
   c->add_ref();  // the queue's reference
-  current_persona().enqueue_deferred(
-      [c, oc = telemetry::op_capture{}, tid = otrace::current()] {
-        otrace::note_id(tid, otrace::stage::fulfill_deferred);
-        c->satisfy(1);
-        c->drop_ref();
-        oc.complete_deferred();
-      });
+  current_persona().enqueue_deferred([c, oc = telemetry::op_capture{}] {
+    oc.fulfill_deferred();
+    c->satisfy(1);
+    c->drop_ref();
+  });
   return future<V...>(c, /*add_ref=*/false);
 }
 
@@ -134,13 +132,11 @@ void deferred_promise_fulfill(promise<T...>& p, V... vals) {
   cell<T...>* c = p.raw_cell();
   c->add_ref();
   current_persona().enqueue_deferred(
-      [c, vals..., oc = telemetry::op_capture{},
-       tid = otrace::current()] {
-        otrace::note_id(tid, otrace::stage::fulfill_deferred);
+      [c, vals..., oc = telemetry::op_capture{}] {
+        oc.fulfill_deferred();
         if constexpr (sizeof...(V) > 0) c->set_value(vals...);
         c->satisfy(1);
         c->drop_ref();
-        oc.complete_deferred();
       });
 }
 
@@ -153,9 +149,7 @@ template <typename... V, typename RemoteSend>
 std::tuple<future<V...>> handle_sync(future_cx<event_operation_t>& it,
                                      RemoteSend&, V... vals) {
   if (resolve_eager(it.e)) {
-    telemetry::count(telemetry::counter::cx_eager_taken);
-    telemetry::note_op_eager();
-    otrace::note_fulfill_eager();
+    telemetry::fulfill_eager();
     if constexpr (sizeof...(V) == 0) {
       return {make_future()};
     } else {
@@ -170,9 +164,7 @@ template <typename... V, typename RemoteSend>
 std::tuple<future<>> handle_sync(future_cx<event_source_t>& it, RemoteSend&,
                                  V...) {
   if (resolve_eager(it.e)) {
-    telemetry::count(telemetry::counter::cx_eager_taken);
-    telemetry::note_op_eager();
-    otrace::note_fulfill_eager();
+    telemetry::fulfill_eager();
     return {make_future()};
   }
   return {deferred_future<>()};
@@ -187,9 +179,7 @@ std::tuple<> handle_sync(promise_cx<event_operation_t, T...>& it, RemoteSend&,
                 "operation's produced values");
   if constexpr (sizeof...(V) == 0) {
     if (resolve_eager(it.e)) {
-      telemetry::count(telemetry::counter::cx_eager_taken);
-      telemetry::note_op_eager();
-      otrace::note_fulfill_eager();
+      telemetry::fulfill_eager();
       return {};  // full elision (paper §III-A)
     }
     it.pro.require_anonymous(1);
@@ -197,9 +187,7 @@ std::tuple<> handle_sync(promise_cx<event_operation_t, T...>& it, RemoteSend&,
   } else {
     it.pro.require_anonymous(1);
     if (resolve_eager(it.e)) {
-      telemetry::count(telemetry::counter::cx_eager_taken);
-      telemetry::note_op_eager();
-      otrace::note_fulfill_eager();
+      telemetry::fulfill_eager();
       it.pro.fulfill_result(vals...);
       it.pro.fulfill_anonymous(1);
     } else {
@@ -213,9 +201,7 @@ std::tuple<> handle_sync(promise_cx<event_operation_t, T...>& it, RemoteSend&,
 template <typename... V, typename RemoteSend>
 std::tuple<> handle_sync(promise_cx<event_source_t>& it, RemoteSend&, V...) {
   if (resolve_eager(it.e)) {
-    telemetry::count(telemetry::counter::cx_eager_taken);
-    telemetry::note_op_eager();
-    otrace::note_fulfill_eager();
+    telemetry::fulfill_eager();
     return {};
   }
   it.pro.require_anonymous(1);
@@ -228,18 +214,15 @@ template <typename... V, typename Fn, typename RemoteSend>
 std::tuple<> handle_sync(lpc_cx<event_operation_t, Fn>& it, RemoteSend&,
                          V... vals) {
   if (resolve_eager(it.e)) {
-    telemetry::count(telemetry::counter::cx_eager_taken);
-    telemetry::note_op_eager();
-    otrace::note_fulfill_eager();
+    telemetry::fulfill_eager();
     it.fn(vals...);
   } else {
     telemetry::count(telemetry::counter::cx_deferred_queued);
     current_persona().enqueue_deferred(
-        [fn = std::move(it.fn), vals..., oc = telemetry::op_capture{},
-         tid = otrace::current()]() mutable {
-          otrace::note_id(tid, otrace::stage::fulfill_deferred);
+        [fn = std::move(it.fn), vals...,
+         oc = telemetry::op_capture{}]() mutable {
+          oc.fulfill_deferred();
           fn(vals...);
-          oc.complete_deferred();
         });
   }
   return {};
@@ -249,18 +232,14 @@ std::tuple<> handle_sync(lpc_cx<event_operation_t, Fn>& it, RemoteSend&,
 template <typename... V, typename Fn, typename RemoteSend>
 std::tuple<> handle_sync(lpc_cx<event_source_t, Fn>& it, RemoteSend&, V...) {
   if (resolve_eager(it.e)) {
-    telemetry::count(telemetry::counter::cx_eager_taken);
-    telemetry::note_op_eager();
-    otrace::note_fulfill_eager();
+    telemetry::fulfill_eager();
     it.fn();
   } else {
     telemetry::count(telemetry::counter::cx_deferred_queued);
     current_persona().enqueue_deferred(
-        [fn = std::move(it.fn), oc = telemetry::op_capture{},
-         tid = otrace::current()]() mutable {
-          otrace::note_id(tid, otrace::stage::fulfill_deferred);
+        [fn = std::move(it.fn), oc = telemetry::op_capture{}]() mutable {
+          oc.fulfill_deferred();
           fn();
-          oc.complete_deferred();
         });
   }
   return {};
@@ -310,16 +289,12 @@ template <typename... V>
 struct op_record {
   inplace_function<void(V...), 64> complete;
   persona* initiator = nullptr;
-  /// Issuing op's class + issue timestamp, captured at construction (the
-  /// record is created inside the initiating call's op_scope). A remote
-  /// op's notification is deferred by nature, so fulfill() records on the
-  /// deferred stream.
+  /// Issuing op's record (class, issue time, trace id), captured at
+  /// construction inside the initiating call's op_scope, so the reply-side
+  /// fulfillment rejoins the op's latency stream and causal chain. A
+  /// remote op's notification is deferred by nature.
   telemetry::op_capture issued;
   std::uint64_t wd_id = 0;  ///< stall-watchdog handle (0 = untracked)
-  /// otrace id of the initiating op (0 = unsampled), captured inside the
-  /// initiating call's otrace::op_scope so the reply-side fulfillment can
-  /// rejoin the causal chain.
-  std::uint64_t trace = otrace::current();
 
   void add_sink(inplace_function<void(V...), 64> sink) {
     if (!complete) {
@@ -338,17 +313,15 @@ struct op_record {
     // the notification still routes to another thread's mailbox below.
     telemetry::watchdog::complete_op(wd_id);
     if (initiator == nullptr || initiator->active_with_caller()) {
-      otrace::note_id(trace, otrace::stage::fulfill_deferred);
+      issued.fulfill_deferred();
       if (complete) complete(vs...);
-      issued.complete_deferred();
       delete this;
       return;
     }
-    otrace::note_id(trace, otrace::stage::lpc_hop);
+    otrace::note_id(issued.trace, otrace::stage::lpc_hop);
     initiator->lpc_ff([this, vs...] {
-      otrace::note_id(trace, otrace::stage::fulfill_deferred);
+      issued.fulfill_deferred();
       if (complete) complete(vs...);
-      issued.complete_deferred();
       delete this;
     });
   }
@@ -376,9 +349,7 @@ template <typename... V, typename RemoteSend>
 std::tuple<future<>> handle_async(future_cx<event_source_t>& it,
                                   op_record<V...>&, RemoteSend&) {
   if (resolve_eager(it.e)) {
-    telemetry::count(telemetry::counter::cx_eager_taken);
-    telemetry::note_op_eager();
-    otrace::note_fulfill_eager();
+    telemetry::fulfill_eager();
     return {make_future()};
   }
   return {deferred_future<>()};
@@ -403,9 +374,7 @@ template <typename... V, typename RemoteSend>
 std::tuple<> handle_async(promise_cx<event_source_t>& it, op_record<V...>&,
                           RemoteSend&) {
   if (resolve_eager(it.e)) {
-    telemetry::count(telemetry::counter::cx_eager_taken);
-    telemetry::note_op_eager();
-    otrace::note_fulfill_eager();
+    telemetry::fulfill_eager();
     return {};
   }
   it.pro.require_anonymous(1);
@@ -425,18 +394,14 @@ template <typename... V, typename Fn, typename RemoteSend>
 std::tuple<> handle_async(lpc_cx<event_source_t, Fn>& it, op_record<V...>&,
                           RemoteSend&) {
   if (resolve_eager(it.e)) {
-    telemetry::count(telemetry::counter::cx_eager_taken);
-    telemetry::note_op_eager();
-    otrace::note_fulfill_eager();
+    telemetry::fulfill_eager();
     it.fn();
   } else {
     telemetry::count(telemetry::counter::cx_deferred_queued);
     current_persona().enqueue_deferred(
-        [fn = std::move(it.fn), oc = telemetry::op_capture{},
-         tid = otrace::current()]() mutable {
-          otrace::note_id(tid, otrace::stage::fulfill_deferred);
+        [fn = std::move(it.fn), oc = telemetry::op_capture{}]() mutable {
+          oc.fulfill_deferred();
           fn();
-          oc.complete_deferred();
         });
   }
   return {};

@@ -35,7 +35,6 @@ std::string dump_path(const std::string& base, int rank) {
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -69,7 +68,9 @@ struct slot {
 
 struct ot_state {
   std::mutex mu;
-  bool configured = false;
+  /// Set last (release) by apply_config_locked; sample_n() reads it
+  /// without the mutex on every draw.
+  std::atomic<bool> configured{false};
   std::string base = "aspen";
   std::atomic<std::uint32_t> sample_n{0};
   std::atomic<slot*> ring{nullptr};
@@ -96,7 +97,6 @@ ot_state& st() noexcept {
 }
 
 struct ot_tls {
-  std::uint64_t cur = 0;
   std::uint64_t stream = 0;  ///< sampling decision stream (splitmix64)
   int rank = 0;
   std::uint16_t tag = 0;
@@ -122,16 +122,6 @@ std::uint64_t seed_for_rank(int rank) noexcept {
   std::uint64_t s = 0xA59E0000u + static_cast<std::uint64_t>(rank + 1);
   (void)splitmix64(s);
   return s;
-}
-
-/// Absolute steady-clock nanoseconds corrected to rank 0's clock base (the
-/// PR 5 RTT-midpoint offset). Comparable across every rank of one job.
-std::uint64_t now_norm_ns() noexcept {
-  const auto now = static_cast<std::int64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-  return static_cast<std::uint64_t>(now - telemetry::clock_offset_ns());
 }
 
 void render_dump_path_locked(ot_state& s) {
@@ -173,8 +163,8 @@ std::uint32_t parse_sample(const char* v) noexcept {
 
 void apply_config_locked(ot_state& s, std::uint32_t sample,
                          std::uint64_t ring_bytes) {
-  s.configured = true;
   s.sample_n.store(sample, std::memory_order_relaxed);
+  s.configured.store(true, std::memory_order_release);
   if (sample == 0 || s.ring.load(std::memory_order_relaxed) != nullptr)
     return;
   if (ring_bytes < (std::uint64_t{4} << 10)) ring_bytes = std::uint64_t{4} << 10;
@@ -192,7 +182,7 @@ void apply_config_locked(ot_state& s, std::uint32_t sample,
 }
 
 void ensure_configured_locked(ot_state& s) {
-  if (s.configured) return;
+  if (s.configured.load(std::memory_order_relaxed)) return;
   const std::uint32_t sample =
       parse_sample(std::getenv("ASPEN_TRACE_SAMPLE"));
   const std::uint64_t ring_bytes =
@@ -233,6 +223,8 @@ std::size_t fmt_hex(char* out, std::uint64_t v) noexcept {
 }
 
 struct sink {
+  explicit sink(int f) noexcept : fd(f) {}
+
   int fd;
   char buf[1024];
   std::size_t off = 0;
@@ -299,7 +291,7 @@ void for_each_record(Fn&& fn) noexcept {
 
 void dump_to_fd(int fd) noexcept {
   ot_state& s = st();
-  sink out{fd};
+  sink out(fd);
   out.lit("{\"otrace_dump\":true,\"rank\":");
   out.sdec(s.rank.load(std::memory_order_relaxed));
   out.lit(",\"records_appended\":");
@@ -361,7 +353,7 @@ bool enabled() noexcept { return sample_n() != 0; }
 
 std::uint32_t sample_n() noexcept {
   ot_state& s = st();
-  if (!s.configured) {
+  if (!s.configured.load(std::memory_order_acquire)) {
     std::lock_guard<std::mutex> lk(s.mu);
     ensure_configured_locked(s);
   }
@@ -423,16 +415,13 @@ std::uint64_t begin_op() noexcept {
          (seq & 0xFFFFFFFFFFFFull);
 }
 
-std::uint64_t current() noexcept { return tls().cur; }
+namespace {
 
-void set_current(std::uint64_t id) noexcept { tls().cur = id; }
-
-void note(stage stg, std::uint64_t aux) noexcept {
-  note_id(tls().cur, stg, aux);
-}
-
-void note_id(std::uint64_t id, stage stg, std::uint64_t aux) noexcept {
-  if (id == 0) return;
+/// Append one stage record stamped `now_ns` (telemetry::detail::
+/// trace_now_ns), stored corrected to rank 0's clock base (the bootstrap's
+/// RTT-midpoint offset) so it is comparable across every rank of one job.
+void note_at(std::uint64_t id, stage stg, std::uint64_t aux,
+             std::uint64_t now_ns) noexcept {
   ot_state& s = st();
   slot* ring = s.ring.load(std::memory_order_acquire);
   if (ring == nullptr) return;
@@ -445,12 +434,19 @@ void note_id(std::uint64_t id, stage stg, std::uint64_t aux) noexcept {
   slot& sl = ring[ticket & s.mask.load(std::memory_order_relaxed)];
   sl.commit.store(0, std::memory_order_relaxed);
   sl.trace = id;
-  sl.t_ns = now_norm_ns();
+  sl.t_ns = static_cast<std::uint64_t>(static_cast<std::int64_t>(now_ns) -
+                                       telemetry::clock_offset_ns());
   sl.aux = aux;
   sl.st = static_cast<std::uint16_t>(stg);
   sl.rank = static_cast<std::int16_t>(t.rank);
   sl.tag = t.tag;
   sl.commit.store(ticket + 1, std::memory_order_release);
+}
+
+}  // namespace
+
+void note_id(std::uint64_t id, stage stg, std::uint64_t aux) noexcept {
+  if (id != 0) note_at(id, stg, aux, telemetry::detail::trace_now_ns());
 }
 
 void install_crash_handlers() noexcept {
@@ -597,5 +593,25 @@ bool export_json(const std::string& path, int rank) {
 }
 
 }  // namespace aspen::otrace
+
+namespace aspen::telemetry::detail {
+
+std::uint64_t trace_begin(std::uint64_t issue_ns) noexcept {
+  const std::uint64_t id = otrace::begin_op();
+  if (id != 0)
+    otrace::note_at(id, otrace::stage::inject, 0,
+                    issue_ns != 0 ? issue_ns : trace_now_ns());
+  return id;
+}
+
+void trace_fulfill(std::uint64_t id, disposition d,
+                   std::uint64_t now_ns) noexcept {
+  otrace::note_at(id,
+                  d == disposition::eager ? otrace::stage::fulfill_eager
+                                          : otrace::stage::fulfill_deferred,
+                  0, now_ns);
+}
+
+}  // namespace aspen::telemetry::detail
 
 #endif  // ASPEN_TELEMETRY_ENABLED

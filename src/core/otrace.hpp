@@ -19,6 +19,15 @@
 // eager-inline or deferred through an op_record, including the cross-persona
 // LPC hop.
 //
+// The draw happens in telemetry::op_scope, the one per-op context: the
+// thread's current trace id is the `trace` field of the same thread-local
+// op record that carries the op's class and issue time for the latency
+// streams (telemetry.hpp). current(), set_current() and scope read and
+// write that field, a sampled op's inject record reuses the scope's issue
+// stamp, and a completion's fulfill_eager / fulfill_deferred record shares
+// one clock read with its latency sample (telemetry::fulfill_eager,
+// op_capture::fulfill_deferred).
+//
 // Every hop appends one fixed-size stage record to a process-global
 // lock-free ring (ASPEN_TRACE_RING_BYTES, default 1 MiB). The ring is the
 // flight recorder: it is never drained during the run, so at any instant it
@@ -133,17 +142,26 @@ void reset_sampling() noexcept;
 /// when unsampled/disabled. Counts counter::otrace_sampled on a hit.
 [[nodiscard]] std::uint64_t begin_op() noexcept;
 
-/// The trace id active on this thread (0 none).
-[[nodiscard]] std::uint64_t current() noexcept;
-void set_current(std::uint64_t id) noexcept;
+// ---------------------------------------------------------------------------
+// The current trace and stage recording (the flight recorder ring)
+// ---------------------------------------------------------------------------
 
-/// Append a stage record for the active trace (no-op when none).
-void note(stage st, std::uint64_t aux = 0) noexcept;
+/// The trace id active on this thread (0 none): the op record's field.
+[[nodiscard]] inline std::uint64_t current() noexcept {
+  return telemetry::detail::tls_op().trace;
+}
+inline void set_current(std::uint64_t id) noexcept {
+  telemetry::detail::tls_op().trace = id;
+}
 
 /// Append a stage record for an explicit trace id (no-op when 0). Used
-/// where the id was captured earlier — op_records, deferred closures, wire
-/// decode paths.
+/// where the id was captured earlier — op_records, wire decode paths.
 void note_id(std::uint64_t id, stage st, std::uint64_t aux = 0) noexcept;
+
+/// Append a stage record for the active trace (no-op when none).
+inline void note(stage st, std::uint64_t aux = 0) noexcept {
+  if (const std::uint64_t id = current(); id != 0) note_id(id, st, aux);
+}
 
 /// RAII: set the active trace id, restore the previous on exit. Used by
 /// am_message::execute so every AM handler (and any reply it sends) runs
@@ -160,39 +178,6 @@ class scope {
  private:
   std::uint64_t saved_;
 };
-
-/// Injection-site sampler: communication entry points construct one next to
-/// telemetry::op_scope. Draws a sample decision only when no trace is
-/// already active (ops issued from inside a sampled op's handler or
-/// completion stay on the enclosing trace), records the inject stage on a
-/// hit, and restores the previous id on exit.
-class op_scope {
- public:
-  op_scope() noexcept : saved_(current()) {
-    if (saved_ == 0) {
-      const std::uint64_t id = begin_op();
-      if (id != 0) {
-        set_current(id);
-        note(stage::inject);
-      }
-    }
-  }
-  ~op_scope() { set_current(saved_); }
-  op_scope(const op_scope&) = delete;
-  op_scope& operator=(const op_scope&) = delete;
-
- private:
-  std::uint64_t saved_;
-};
-
-// ---------------------------------------------------------------------------
-// Stage recording (the flight recorder ring)
-// ---------------------------------------------------------------------------
-
-/// Record an eager (inline) fulfillment of the active trace, if any.
-inline void note_fulfill_eager() noexcept {
-  if (current() != 0) note(stage::fulfill_eager);
-}
 
 // ---------------------------------------------------------------------------
 // Dump / export
@@ -250,18 +235,8 @@ class scope {
 static_assert(sizeof(scope) == 1,
               "with ASPEN_TELEMETRY off otrace scopes must carry no state");
 
-class op_scope {
- public:
-  op_scope() noexcept = default;
-  op_scope(const op_scope&) = delete;
-  op_scope& operator=(const op_scope&) = delete;
-};
-static_assert(sizeof(op_scope) == 1,
-              "with ASPEN_TELEMETRY off otrace scopes must carry no state");
-
 inline void note(stage, std::uint64_t = 0) noexcept {}
 inline void note_id(std::uint64_t, stage, std::uint64_t = 0) noexcept {}
-inline void note_fulfill_eager() noexcept {}
 inline void install_crash_handlers() noexcept {}
 inline void dump_now() noexcept {}
 inline void dump_signal_safe() noexcept {}

@@ -189,7 +189,6 @@ template <typename Cxs>
 auto rma_put_bytes(int target, void* dest_raw, const void* src,
                    std::size_t nbytes, Cxs&& cxs) -> cx_return_t<Cxs> {
   telemetry::op_scope os(telemetry::op_class::rma_put);
-  otrace::op_scope ts;
   rank_context& c = ctx();
   if (rma_target_local(c, target)) {
     telemetry::count(telemetry::counter::rma_put_local);
@@ -245,7 +244,6 @@ template <rma_type T,
 auto rget(global_ptr<T> src, Cxs cxs = operation_cx::as_future())
     -> detail::cx_return_t<Cxs, T> {
   telemetry::op_scope os(telemetry::op_class::rma_get);
-  otrace::op_scope ts;
   detail::rank_context& c = detail::ctx();
   detail::no_remote_cx rs;
   if (detail::rma_target_local(c, src.where())) {
@@ -281,7 +279,6 @@ template <rma_type T,
 auto rget(global_ptr<T> src, T* dest, std::size_t n,
           Cxs cxs = operation_cx::as_future()) -> detail::cx_return_t<Cxs> {
   telemetry::op_scope os(telemetry::op_class::rma_get);
-  otrace::op_scope ts;
   detail::rank_context& c = detail::ctx();
   detail::no_remote_cx rs;
   if (detail::rma_target_local(c, src.where())) {

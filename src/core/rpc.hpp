@@ -132,7 +132,7 @@ void send_rpc_ff_tuple(int target, const Fn& fn, const ArgsTuple& args) {
   static_assert(shippable_callable<Fn>,
                 "rpc callables must be trivially copyable");
   telemetry::count(telemetry::counter::rpc_ff_sent);
-  otrace::op_scope ts;
+  telemetry::op_scope os;
   ser_writer w(sizeof(Fn) + 64);
   write_callable(w, fn);
   w.write(args);
@@ -180,7 +180,7 @@ auto rpc(int target, Fn fn, Args&&... args) {
   using RCell = typename detail::rfut_traits<RFut>::cell_t;
 
   telemetry::count(telemetry::counter::rpc_roundtrip);
-  otrace::op_scope ts;
+  telemetry::op_scope os;
   auto* c = new RCell();
   c->deps = 1;
   c->add_ref();  // the in-flight reply's reference

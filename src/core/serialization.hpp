@@ -59,7 +59,7 @@ class ser_reader {
 
   void read_bytes(void* out, std::size_t n) {
     assert(p_ + n <= end_ && "serialization buffer underrun");
-    std::memcpy(out, p_, n);
+    if (n != 0) std::memcpy(out, p_, n);
     p_ += n;
   }
 

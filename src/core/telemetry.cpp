@@ -248,7 +248,7 @@ snapshot aggregate() noexcept {
 }
 
 // ---------------------------------------------------------------------------
-// The latency clock and clock sync
+// Clock sync
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -257,31 +257,7 @@ namespace {
 std::atomic<bool> g_clock_synced{false};
 std::atomic<std::int64_t> g_clock_offset_ns{0};
 
-std::uint64_t process_epoch_ns() noexcept {
-  static const std::uint64_t t0 = static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-  return t0;
-}
-
 }  // namespace
-
-namespace detail {
-
-std::uint64_t trace_now_ns() noexcept {
-  // Pin the epoch before sampling: on the very first call the static t0 is
-  // captured inside process_epoch_ns(), i.e. *after* any already-sampled
-  // now, and the subtraction would wrap to ~2^64.
-  const std::uint64_t t0 = process_epoch_ns();
-  const auto now = static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-  return now - t0;
-}
-
-}  // namespace detail
 
 void set_thread_rank(int rank) noexcept {
   watchdog::set_thread_rank(rank);

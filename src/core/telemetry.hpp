@@ -21,14 +21,21 @@
 //     telemetry::aggregate() works both during and after an spmd() run;
 //   - telemetry::snapshot is a plain value type with operator- for
 //     interval deltas, and to_json() for the benchmark sidecar files;
-//   - the per-operation timeline is aspen::otrace (core/otrace.hpp): its
-//     sampled stage records run from injection to eager or deferred
-//     fulfillment, stamped on the clock this header keeps in sync.
+//   - one per-op context: op_scope fills a thread-local op record {issue
+//     time, otrace id, op class, active} at every rput, rget and atomic
+//     (rpc and rpc_ff open it without a class or a clock read). The
+//     completion engine reads that record at each eager site
+//     (fulfill_eager) and copies it into deferred closures and remote op
+//     records (op_capture), so one call per notification records both its
+//     issue->completion latency sample and its otrace fulfill stage, on
+//     one clock read. aspen::otrace (core/otrace.hpp) keeps the sampler and
+//     the flight-recorder ring; its current trace id is the record's field.
 //
 // The whole subsystem sits behind the ASPEN_TELEMETRY CMake option. When
-// the option is OFF every count()/note_*() call and op_scope compiles to
-// nothing, `record` is an empty type (verified by a static_assert below),
-// and snapshots read as all-zero.
+// the option is OFF every count()/note_*() call, op_scope, op_capture and
+// fulfill_eager compiles to nothing, `record` is an empty type and op_scope
+// has size 1 (verified by static_asserts below), and snapshots read as
+// all-zero.
 //
 // This header is deliberately dependency-free (no core/runtime includes)
 // so every layer — gex substrate, progress engine, completion engine,
@@ -427,52 +434,88 @@ void set_clock_sync(std::int64_t offset_ns) noexcept;
 /// otrace::configure and watchdog::configure override it in-process.
 [[nodiscard]] const char* artifact_base() noexcept;
 
-namespace detail {
+// ---------------------------------------------------------------------------
+// The per-op record: one context for the latency streams and otrace
+// ---------------------------------------------------------------------------
 
 #if ASPEN_TELEMETRY_ENABLED
-[[nodiscard]] std::uint64_t trace_now_ns() noexcept;
 
-/// The op currently being issued on this thread (op_scope below). The
-/// completion engine (cx_state.hpp) reads it at every disposition site to
-/// attribute the notification's issue->completion latency to the right
-/// lat_stream without threading a class/timestamp parameter through every
-/// handle_sync/handle_async overload.
+namespace detail {
+
+/// The one clock of the op record, the latency streams, the watchdog and
+/// otrace's stage records: absolute steady-clock nanoseconds.
+[[nodiscard]] inline std::uint64_t trace_now_ns() noexcept {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count());
+}
+
+/// The op being issued on this thread (op_scope below). The completion
+/// engine (cx_state.hpp) reads it at every disposition site, so a
+/// notification's latency sample and otrace record need no class, time or
+/// id parameter threaded through every handle_sync/handle_async overload.
+/// otrace::current() is its `trace` field.
 struct op_ctx {
-  std::uint64_t issue_ns = 0;
+  std::uint64_t issue_ns = 0;  ///< issue time, valid while `active`
+  std::uint64_t trace = 0;     ///< otrace id (0 = unsampled)
   op_class cls = op_class::rma_put;
-  bool active = false;
+  bool active = false;  ///< a classed op_scope is open
 };
 
 [[nodiscard]] inline op_ctx& tls_op() noexcept {
   static thread_local op_ctx o;
   return o;
 }
-#endif
+
+/// otrace's side of the record, defined in otrace.cpp next to its sampler
+/// and ring. trace_begin draws the sample decision and, on a hit, appends
+/// the inject record stamped `issue_ns` (0: read the clock) and returns
+/// the new trace id; 0 when unsampled. trace_fulfill appends the
+/// fulfill_eager or fulfill_deferred record of `id` stamped `now_ns`.
+[[nodiscard]] std::uint64_t trace_begin(std::uint64_t issue_ns) noexcept;
+void trace_fulfill(std::uint64_t id, disposition d,
+                   std::uint64_t now_ns) noexcept;
+
+/// A notification of `o` fired: one clock read serves its latency sample
+/// and its otrace record.
+inline void note_fulfilled(const op_ctx& o, disposition d) noexcept {
+  if (!o.active && o.trace == 0) return;
+  const std::uint64_t now = trace_now_ns();
+  if (o.active) note_latency(stream_of(o.cls, d), now - o.issue_ns);
+  if (o.trace != 0) trace_fulfill(o.trace, d, now);
+}
 
 }  // namespace detail
 
-/// The latency clock (process-relative steady ns), or 0 when telemetry is
-/// compiled out. Payload stamps (e.g. the rpc request's issue timestamp)
-/// use this so wire layouts stay identical across build configurations.
+/// The latency clock, or 0 when telemetry is compiled out. Payload stamps
+/// (e.g. the rpc request's issue timestamp) use this so wire layouts stay
+/// identical across build configurations.
 [[nodiscard]] inline std::uint64_t lat_now_ns() noexcept {
-#if ASPEN_TELEMETRY_ENABLED
   return detail::trace_now_ns();
-#else
-  return 0;
-#endif
 }
 
-#if ASPEN_TELEMETRY_ENABLED
-
-/// RAII op-issue marker: communication entry points (rput/rget/atomics)
-/// construct one, and every completion notification the op spawns records
-/// now - issue_ns on the stream for (cls, disposition). Nests (saves and
-/// restores the previous context) so an op issued from inside another op's
-/// inline completion attributes correctly.
+/// RAII op-issue marker: the one per-op context. Nests (saves and restores
+/// the enclosing record), and draws a sample decision only when no trace
+/// is active, so an op issued from inside a sampled op's handler or
+/// completion stays on the enclosing trace.
 class op_scope {
  public:
+  /// rput, rget and the atomics: stamps the issue time once. Every
+  /// notification the op spawns records now - issue_ns on the stream for
+  /// (cls, disposition), and a sampled op's inject record reuses the stamp.
   explicit op_scope(op_class cls) noexcept : saved_(detail::tls_op()) {
-    detail::tls_op() = {detail::trace_now_ns(), cls, true};
+    detail::op_ctx& o = detail::tls_op();
+    o.issue_ns = detail::trace_now_ns();
+    o.cls = cls;
+    o.active = true;
+    if (o.trace == 0) o.trace = detail::trace_begin(o.issue_ns);
+  }
+  /// rpc and rpc_ff: no latency stream through this record (rpc echoes
+  /// its own issue stamp), so no clock read unless sampled.
+  op_scope() noexcept : saved_(detail::tls_op()) {
+    detail::op_ctx& o = detail::tls_op();
+    if (o.trace == 0) o.trace = detail::trace_begin(0);
   }
   ~op_scope() { detail::tls_op() = saved_; }
   op_scope(const op_scope&) = delete;
@@ -482,50 +525,30 @@ class op_scope {
   detail::op_ctx saved_;
 };
 
-/// Snapshot of the issuing op's context, captured into deferred-completion
-/// closures and op_records at injection time and consumed when the
-/// notification finally fires (possibly on another thread — the record
-/// written is the firing thread's, which aggregate() sums anyway).
-struct op_capture {
-  std::uint64_t issue_ns = 0;
-  op_class cls = op_class::rma_put;
-  bool active = false;
+/// The issuing op's record, captured into deferred-completion closures and
+/// op_records at injection and consumed when the notification finally
+/// fires (possibly on another thread — the record written is the firing
+/// thread's, which aggregate() sums anyway).
+struct op_capture : detail::op_ctx {
+  op_capture() noexcept : detail::op_ctx(detail::tls_op()) {}
 
-  op_capture() noexcept {
-    const detail::op_ctx& o = detail::tls_op();
-    issue_ns = o.issue_ns;
-    cls = o.cls;
-    active = o.active;
-  }
-
-  void complete_deferred() const noexcept {
-    if (active)
-      note_latency(stream_of(cls, disposition::deferred),
-                   detail::trace_now_ns() - issue_ns);
+  /// The deferred notification fires: latency sample and fulfill_deferred.
+  void fulfill_deferred() const noexcept {
+    detail::note_fulfilled(*this, disposition::deferred);
   }
 
   /// Register the captured op with the stall watchdog (0 when untracked:
-  /// watchdog disabled, or no op_scope was active at capture).
+  /// watchdog disabled, or no classed op_scope was active at capture).
   [[nodiscard]] std::uint64_t track() const noexcept {
     return active ? watchdog::track_op(cls) : 0;
   }
 };
 
-/// Record an eager (inline) completion of the op being issued, if any.
-inline void note_op_eager() noexcept {
-  const detail::op_ctx& o = detail::tls_op();
-  if (o.active)
-    note_latency(stream_of(o.cls, disposition::eager),
-                 detail::trace_now_ns() - o.issue_ns);
-}
-
-/// Record a deferred completion of the op being issued, if any (the
-/// enqueue-time variant; closures that fire later use op_capture).
-inline void note_op_deferred_now() noexcept {
-  const detail::op_ctx& o = detail::tls_op();
-  if (o.active)
-    note_latency(stream_of(o.cls, disposition::deferred),
-                 detail::trace_now_ns() - o.issue_ns);
+/// An eager (inline) completion of the op being issued: counts
+/// cx_eager_taken, records its latency sample and its fulfill_eager.
+inline void fulfill_eager() noexcept {
+  count(counter::cx_eager_taken);
+  detail::note_fulfilled(detail::tls_op(), disposition::eager);
 }
 
 /// Progress-engine heartbeat: records the inter-arrival gap since this
@@ -542,9 +565,13 @@ inline void note_progress_tick() noexcept {
 
 #else  // !ASPEN_TELEMETRY_ENABLED
 
+[[nodiscard]] inline std::uint64_t lat_now_ns() noexcept { return 0; }
+
+/// User-provided constructors: an unused scope local never warns.
 class op_scope {
  public:
   explicit op_scope(op_class) noexcept {}
+  op_scope() noexcept {}
   op_scope(const op_scope&) = delete;
   op_scope& operator=(const op_scope&) = delete;
 };
@@ -553,13 +580,12 @@ static_assert(sizeof(op_scope) == 1,
               "with ASPEN_TELEMETRY off op scopes must carry no state");
 
 struct op_capture {
-  op_capture() noexcept = default;
-  void complete_deferred() const noexcept {}
+  static constexpr std::uint64_t trace = 0;
+  void fulfill_deferred() const noexcept {}
   [[nodiscard]] std::uint64_t track() const noexcept { return 0; }
 };
 
-inline void note_op_eager() noexcept {}
-inline void note_op_deferred_now() noexcept {}
+inline void fulfill_eager() noexcept {}
 inline void note_progress_tick() noexcept {}
 
 #endif

@@ -88,7 +88,7 @@ class am_message {
       // Run the handler under the message's trace so any AMs it sends
       // (e.g. the rpc reply) inherit the causal chain.
       otrace::scope ts(trace_);
-      otrace::note(otrace::stage::handler_run);
+      otrace::note_id(trace_, otrace::stage::handler_run);
       handler_(rt, me, src_, payload(), len_);
       return;
     }

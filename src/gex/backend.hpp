@@ -135,7 +135,7 @@ class runtime {
     // frames, and shm rings alike.
     if (const std::uint64_t tid = otrace::current(); tid != 0) {
       msg.set_trace(tid);
-      otrace::note(otrace::stage::am_send);
+      otrace::note_id(tid, otrace::stage::am_send);
     }
     if (wire_ && target != wire_->self_rank()) {
       // Remote process: serialize onto the socket. The receiving process

@@ -48,15 +48,13 @@ namespace aspen::gex {
 ///              mapped peers travel over lock-free SPSC rings in a shared
 ///              control segment; any peer that cannot be mapped (off-host,
 ///              memfd unavailable, ASPEN_SHM=0) transparently keeps the tcp
-///              socket path. `hybrid` is an alias for this per-peer
-///              shm-or-tcp selection.
+///              socket path.
 enum class conduit : std::uint8_t {
   smp,
   loopback,
   perturbed,
   tcp,
   shm,
-  hybrid = shm,
 };
 
 /// Locality model: which rank pairs are treated as sharing a node.

@@ -117,7 +117,7 @@ TEST(RecyclingPool, CrossThreadHandoffContention) {
       for (int i = 0; i < kPerProducer; ++i) {
         // Vary the size class; every other block churns locally first so
         // the producer's own freelist also sees contention-era reuse.
-        const std::size_t bytes = 32 + static_cast<std::size_t>((t + i) % 7) * 64;
+        const std::size_t bytes = 32 + (static_cast<std::size_t>(t + i) % 7) * 64;
         void* p = pool.allocate(bytes, /*recycle=*/true);
         if ((i & 1) != 0) {
           pool.deallocate(p);

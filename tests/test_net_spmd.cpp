@@ -242,9 +242,10 @@ TEST(NetSpmd, EagerDispositionCrossVsSelf) {
                   dir[static_cast<std::size_t>(aspen::rank_me())])
           .wait();
     const auto d_self = aspen::telemetry::local_snapshot() - before_self;
-    if (aspen::telemetry::compiled_in())
+    if (aspen::telemetry::compiled_in()) {
       EXPECT_GT(d_self.get(c::cx_eager_taken), 0u)
           << "self-targeted rputs must keep the eager path";
+    }
     aspen::barrier();
     aspen::delete_(gp);
   });
@@ -1243,10 +1244,11 @@ TEST(AggSpmd, GupsBitIdenticalAggOnOffAndSmp) {
   EXPECT_EQ(agg_sum, smp_sum)
       << "ASPEN_AGG=1 GUPS diverged from smp at " << n << " ranks";
 
-  if (n > 1 && aspen::telemetry::compiled_in())
+  if (n > 1 && aspen::telemetry::compiled_in()) {
     EXPECT_GT(coalesced, 0u)
         << "the armed region coalesced no frames — aggregation never "
            "engaged";
+  }
 }
 
 // Same equivalence over conduit::shm. GUPS runs as rpc_ff updates so the
@@ -1302,9 +1304,10 @@ TEST(AggSpmd, GupsBitIdenticalOverShm) {
     const char* env = std::getenv("ASPEN_SHM_RING_BYTES");
     const auto ring_bytes =
         env != nullptr ? std::strtoull(env, nullptr, 0) : 0;
-    if (ring_bytes != 0 && ring_bytes <= 4096)
+    if (ring_bytes != 0 && ring_bytes <= 4096) {
       EXPECT_GT(ring_full, 0u)
           << "a " << ring_bytes << "-byte ring never filled";
+    }
   }
 }
 
@@ -1355,9 +1358,10 @@ TEST(AggSpmd, BoundedSendqParksAndDelivers) {
   });
   unsetenv("ASPEN_AGG");
   unsetenv("ASPEN_NET_SENDQ_MAX");
-  if (n > 1)
+  if (n > 1) {
     EXPECT_EQ(hits.load(), kFloods)
         << "rpc_ff flood lost messages under a bounded send queue";
+  }
   // Parking is load-dependent (the pump may keep up), so only report it.
   if (parked > 0)
     std::printf("note: net_sendq_parked=%llu under the %d-message flood\n",

@@ -18,8 +18,11 @@
 #include "core/otrace.hpp"
 
 namespace otrace = aspen::otrace;
+namespace telemetry = aspen::telemetry;
 
 namespace {
+
+#if ASPEN_TELEMETRY_ENABLED
 
 std::string slurp(const std::string& path) {
   std::ifstream in(path);
@@ -27,8 +30,6 @@ std::string slurp(const std::string& path) {
   ss << in.rdbuf();
   return ss.str();
 }
-
-#if ASPEN_TELEMETRY_ENABLED
 
 /// Reset to a known state: sampling 1-in-1, a small ring, fresh decision
 /// stream, no active trace, empty recorder.
@@ -145,13 +146,18 @@ TEST(Otrace, CurrentScopeRoutesNotesAndRestores) {
 TEST(Otrace, OpScopeNestsOntoEnclosingTrace) {
   arm(1);
   {
-    otrace::op_scope outer;
+    telemetry::op_scope outer(telemetry::op_class::rma_put);
     const std::uint64_t id = otrace::current();
     ASSERT_NE(id, 0u);  // sample_n == 1: always drawn
     {
       // A nested op (an rput issued from inside a sampled op's completion)
       // must NOT draw its own id — it stays on the enclosing chain.
-      otrace::op_scope inner;
+      telemetry::op_scope inner(telemetry::op_class::rma_put);
+      EXPECT_EQ(otrace::current(), id);
+    }
+    {
+      // Nor may the class-less scope of an rpc_ff issued inside it.
+      telemetry::op_scope inner;
       EXPECT_EQ(otrace::current(), id);
     }
     EXPECT_EQ(otrace::current(), id);
@@ -335,7 +341,7 @@ TEST(Otrace, InProcessOpsRecordInjectThenFulfill) {
 
 // Compiled out: ids are always 0, scopes carry no state, nothing records.
 static_assert(sizeof(otrace::scope) == 1);
-static_assert(sizeof(otrace::op_scope) == 1);
+static_assert(sizeof(telemetry::op_scope) == 1);
 
 TEST(OtraceOff, EverythingCompilesToNothing) {
   EXPECT_FALSE(otrace::enabled());

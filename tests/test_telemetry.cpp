@@ -7,6 +7,7 @@
 // cx_remote_async) exactly once each.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <string>
 
 #include "core/aspen.hpp"
@@ -109,6 +110,59 @@ TEST(Telemetry, LoopbackRemoteOpsCountAsRemoteAsync) {
     }
     barrier();
     if (rank_me() == 1) delete_(gp);
+  });
+}
+
+// Every notification adds exactly one latency sample, to the stream of its
+// (op_class, disposition): eager sites read the op record inside the op's
+// scope; deferred closures and op_records read the record they captured at
+// injection. The rput's remote_cx::as_rpc sends an rpc_ff, which opens the
+// class-less scope inside the rput's; it must leave the rput's sample alone.
+TEST(Telemetry, LatencyStreamsFollowOpClassAndDisposition) {
+  gex::config g;
+  g.transport = gex::conduit::loopback;
+  g.locality.node_size = 1;  // every other rank is off-node
+  aspen::spmd(2, g, [] {
+    auto mine = new_<std::uint64_t>(0);
+    const global_ptr<std::uint64_t> theirs = broadcast(mine, 1);
+    atomic_domain<std::uint64_t> ad({gex::amo_op::fadd});
+    barrier();
+    if (rank_me() == 0) {
+      constexpr std::uint64_t kN = 8;
+      static thread_local bool rpc_ran = false;
+      const auto before = telemetry::local_snapshot();
+      for (std::uint64_t i = 0; i < kN; ++i)
+        rput(std::uint64_t{1}, mine, operation_cx::as_eager_future()).wait();
+      for (std::uint64_t i = 0; i < kN; ++i)
+        (void)rget(mine, operation_cx::as_defer_future()).wait();
+      for (std::uint64_t i = 0; i < kN; ++i)
+        (void)ad.fetch_add(mine, 1, operation_cx::as_eager_future()).wait();
+      for (std::uint64_t i = 0; i < kN; ++i)
+        (void)ad.fetch_add(mine, 1, operation_cx::as_defer_future()).wait();
+      for (std::uint64_t i = 0; i < kN; ++i)  // loopback-remote: op_record
+        (void)ad.fetch_add(theirs, 1, operation_cx::as_future()).wait();
+      rput(std::uint64_t{1}, mine,
+           operation_cx::as_eager_future() |
+               remote_cx::as_rpc([] { rpc_ran = true; }))
+          .wait();
+      while (!rpc_ran) progress();
+      const auto d = delta_since(before);
+      EXPECT_EQ(d.get(telemetry::counter::cx_remote_async), kN);
+
+      using telemetry::lat_stream;
+      std::array<std::uint64_t, telemetry::kLatStreamCount> want{};
+      want[static_cast<std::size_t>(lat_stream::rma_put_eager)] = kN + 1;
+      want[static_cast<std::size_t>(lat_stream::rma_get_deferred)] = kN;
+      want[static_cast<std::size_t>(lat_stream::amo_eager)] = kN;
+      want[static_cast<std::size_t>(lat_stream::amo_deferred)] = 2 * kN;
+      for (std::size_t s = 0; s < telemetry::kLatStreamCount; ++s) {
+        const auto ls = static_cast<lat_stream>(s);
+        if (ls == lat_stream::progress_gap) continue;  // every wait() ticks
+        EXPECT_EQ(d.lat_of(ls).total(), want[s]) << telemetry::to_string(ls);
+      }
+    }
+    barrier();
+    delete_(mine);
   });
 }
 
