@@ -190,7 +190,7 @@ void render_frame(int nranks, int frame, int rounds, bool clear_screen) {
   prev_when = now;
   ranks.print(std::cout);
 
-  bench::table lat({"latency stream (job)", "count", "p50", "p99", "max"});
+  bench::table lat({"latency stream (job)", "samples", "p50", "p99", "max"});
   add_lat_row(lat, "eager (all op classes)",
               job.lat_by_disposition(telemetry::disposition::eager));
   add_lat_row(lat, "deferred (all op classes)",

@@ -165,6 +165,9 @@ void apply_config_locked(ot_state& s, std::uint32_t sample,
                          std::uint64_t ring_bytes) {
   s.sample_n.store(sample, std::memory_order_relaxed);
   s.configured.store(true, std::memory_order_release);
+  // op_scope's inline gate: from here on an op calls trace_begin only
+  // while sampling is armed.
+  telemetry::detail::g_trace_gate.store(sample, std::memory_order_relaxed);
   if (sample == 0 || s.ring.load(std::memory_order_relaxed) != nullptr)
     return;
   if (ring_bytes < (std::uint64_t{4} << 10)) ring_bytes = std::uint64_t{4} << 10;

@@ -21,12 +21,16 @@
 //
 // The draw happens in telemetry::op_scope, the one per-op context: the
 // thread's current trace id is the `trace` field of the same thread-local
-// op record that carries the op's class and issue time for the latency
-// streams (telemetry.hpp). current(), set_current() and scope read and
-// write that field, a sampled op's inject record reuses the scope's issue
-// stamp, and a completion's fulfill_eager / fulfill_deferred record shares
-// one clock read with its latency sample (telemetry::fulfill_eager,
-// op_capture::fulfill_deferred).
+// op record that carries the op's class and, for an op timed by the
+// latency streams' sampler, its issue time (telemetry.hpp). current(),
+// set_current() and scope read and write that field, a sampled op's inject
+// record reuses the issue stamp when the op is timed, and a completion's
+// fulfill_eager / fulfill_deferred record shares one clock read with its
+// latency sample (telemetry::fulfill_eager, op_capture::fulfill_deferred).
+// The scope gates the draw inline on telemetry::detail::g_trace_gate, a
+// relaxed mirror of sample_n() that configuration keeps current (all ones
+// until the first parse): with sampling off an op makes no call, and with
+// it armed the decision stream is exactly the one begin_op() draws.
 //
 // Every hop appends one fixed-size stage record to a process-global
 // lock-free ring (ASPEN_TRACE_RING_BYTES, default 1 MiB). The ring is the

@@ -57,8 +57,8 @@ void rpc_reply_handler(gex::runtime&, int /*me*/, int /*src*/,
                        std::byte* payload, std::size_t len) {
   ser_reader r(payload, len);
   auto* c = reinterpret_cast<cell<U...>*>(r.read<std::uint64_t>());
-  // Issue timestamp echoed by the target (initiator clock; 0 when the
-  // initiator was built without telemetry).
+  // Issue timestamp echoed by the target (initiator clock; 0 when the rpc
+  // was not timed or the initiator was built without telemetry).
   const auto issue_ns = r.read<std::uint64_t>();
   if constexpr (sizeof...(U) > 0) {
     c->set_value_tuple(r.read<std::tuple<U...>>());
@@ -68,9 +68,7 @@ void rpc_reply_handler(gex::runtime&, int /*me*/, int /*src*/,
   otrace::note(otrace::stage::fulfill_deferred);
   c->satisfy(1);
   c->drop_ref();
-  if (issue_ns != 0)
-    telemetry::note_latency(telemetry::lat_stream::rpc_deferred,
-                            telemetry::lat_now_ns() - issue_ns);
+  telemetry::note_latency_since(telemetry::lat_stream::rpc_deferred, issue_ns);
 }
 
 /// Serialize and send the reply that fulfills `cell_bits` on `initiator`.
@@ -187,9 +185,9 @@ auto rpc(int target, Fn fn, Args&&... args) {
 
   ser_writer w(2 * sizeof(std::uint64_t) + sizeof(Fn) + 64);
   w.write(reinterpret_cast<std::uint64_t>(c));
-  // Issue timestamp, echoed back in the reply. Always written (0 when
-  // telemetry is compiled out) so the request layout is build-independent.
-  w.write(telemetry::lat_now_ns());
+  // Issue timestamp, echoed back in the reply: 0 unless this rpc is the
+  // thread's timed one, always written so the layout is build-independent.
+  w.write(telemetry::sampled_issue_ns());
   detail::write_callable(w, fn);
   w.write(ArgsTuple(std::forward<Args>(args)...));
 

@@ -12,24 +12,29 @@
 // queue high-water mark, and reserve-growth events.
 //
 // Architecture:
-//   - counters live in a per-thread `record` of cache-line-padded relaxed
-//     atomics (one rank == one thread in this runtime, so writes are
-//     uncontended; padding keeps cross-thread snapshot reads from
-//     false-sharing the writer);
+//   - counters live in a per-thread `record` of cache-line-padded atomic
+//     words. Only the owning thread writes its record, so an update is a
+//     relaxed load plus a relaxed store (no lock-prefixed add, no CAS);
+//     concurrent snapshot readers still see whole monotone words, and the
+//     padding keeps them from false-sharing the writer;
 //   - records register themselves in a process-global registry on first
 //     use and merge into a retired aggregate at thread exit, so
 //     telemetry::aggregate() works both during and after an spmd() run;
 //   - telemetry::snapshot is a plain value type with operator- for
 //     interval deltas, and to_json() for the benchmark sidecar files;
 //   - one per-op context: op_scope fills a thread-local op record {issue
-//     time, otrace id, op class, active} at every rput, rget and atomic
-//     (rpc and rpc_ff open it without a class or a clock read). The
-//     completion engine reads that record at each eager site
-//     (fulfill_eager) and copies it into deferred closures and remote op
-//     records (op_capture), so one call per notification records both its
-//     issue->completion latency sample and its otrace fulfill stage, on
-//     one clock read. aspen::otrace (core/otrace.hpp) keeps the sampler and
-//     the flight-recorder ring; its current trace id is the record's field.
+//     time, otrace id, op word (class, timed bit)} at every rput, rget and
+//     atomic (rpc and rpc_ff open it without a class). The latency streams
+//     are sampled: a per-thread countdown times one op in kLatSamplePeriod
+//     (odd), and only a timed op reads the clock, at issue and at
+//     completion. The completion engine reads the record at each eager
+//     site (fulfill_eager) and copies it into deferred closures and remote
+//     op records (op_capture), so one call per notification records both
+//     its latency sample (timed ops) and its otrace fulfill stage (sampled
+//     ops) on one clock read. aspen::otrace (core/otrace.hpp) keeps the
+//     sampler and the flight-recorder ring; its current trace id is the
+//     record's field, and op_scope calls the sampler only while an inline
+//     mirror of its rate says tracing may be armed.
 //
 // The whole subsystem sits behind the ASPEN_TELEMETRY CMake option. When
 // the option is OFF every count()/note_*() call, op_scope, op_capture and
@@ -274,6 +279,18 @@ struct alignas(64) padded_u64 {
   std::atomic<std::uint64_t> v{0};
 };
 
+/// Every record word has one writer, the thread that owns the record, so
+/// an update is a relaxed load plus a relaxed store: no lock-prefixed add,
+/// no CAS loop. Concurrent readers (aggregate()) still see whole monotone
+/// words.
+inline void bump(std::atomic<std::uint64_t>& w, std::uint64_t n) noexcept {
+  w.store(w.load(std::memory_order_relaxed) + n, std::memory_order_relaxed);
+}
+inline void raise(std::atomic<std::uint64_t>& w, std::uint64_t v) noexcept {
+  if (v > w.load(std::memory_order_relaxed))
+    w.store(v, std::memory_order_relaxed);
+}
+
 /// Per-stream latency storage. Unpadded (13 streams x 65 words would be
 /// 54 KiB/thread padded): buckets on one stream are written by the owning
 /// thread only, and a reader tearing across bucket lines still sees each
@@ -283,6 +300,9 @@ struct lat_cell {
   std::atomic<std::uint64_t> max_ns{0};
 };
 
+/// A thread's counters. Only the owning thread writes it: every count and
+/// note_* call below goes through tls_record(), including a persona
+/// mailbox's depth, which its producer records in its own record.
 struct record {
   std::array<padded_u64, kCounterCount> sums{};
   std::array<padded_u64, kPqBatchBuckets> pq_hist{};
@@ -296,32 +316,12 @@ struct record {
   ~record();  // merges into the retired aggregate and deregisters
 
   void add(counter c, std::uint64_t n) noexcept {
-    sums[static_cast<std::size_t>(c)].v.fetch_add(n,
-                                                  std::memory_order_relaxed);
+    bump(sums[static_cast<std::size_t>(c)].v, n);
   }
-  /// Single-writer monotone max (only the owning thread stores).
-  void raise_high_water(std::uint64_t depth) noexcept {
-    if (depth > pq_high_water.v.load(std::memory_order_relaxed))
-      pq_high_water.v.store(depth, std::memory_order_relaxed);
-  }
-  /// Mailbox depths are observed by producers on many threads, so unlike
-  /// the progress-queue max this one needs a CAS-free racy max: a stale
-  /// overwrite can only lose to a concurrent *larger* depth, which the
-  /// next enqueue at that depth restores.
-  void raise_lpc_mailbox_high_water(std::uint64_t depth) noexcept {
-    std::uint64_t cur = lpc_mailbox_high_water.v.load(std::memory_order_relaxed);
-    while (depth > cur &&
-           !lpc_mailbox_high_water.v.compare_exchange_weak(
-               cur, depth, std::memory_order_relaxed)) {
-    }
-  }
-  /// One latency sample. Single-writer (the owning thread), so the max is
-  /// a plain load/store like raise_high_water.
   void note_lat(lat_stream s, std::uint64_t ns) noexcept {
     lat_cell& c = lat[static_cast<std::size_t>(s)];
-    c.buckets[lat_bucket(ns)].fetch_add(1, std::memory_order_relaxed);
-    if (ns > c.max_ns.load(std::memory_order_relaxed))
-      c.max_ns.store(ns, std::memory_order_relaxed);
+    bump(c.buckets[lat_bucket(ns)], 1);
+    raise(c.max_ns, ns);
   }
 };
 
@@ -361,8 +361,8 @@ inline void count(counter c, std::uint64_t n = 1) noexcept {
 inline void note_pq_fire(std::size_t batch) noexcept {
 #if ASPEN_TELEMETRY_ENABLED
   detail::record& r = detail::tls_record();
-  r.pq_hist[pq_batch_bucket(batch)].v.fetch_add(1, std::memory_order_relaxed);
-  r.pq_total_fired.v.fetch_add(batch, std::memory_order_relaxed);
+  detail::bump(r.pq_hist[pq_batch_bucket(batch)].v, 1);
+  detail::bump(r.pq_total_fired.v, batch);
 #else
   (void)batch;
 #endif
@@ -371,17 +371,18 @@ inline void note_pq_fire(std::size_t batch) noexcept {
 /// Record the pending depth after a push (tracks the high-water mark).
 inline void note_pq_depth(std::size_t depth) noexcept {
 #if ASPEN_TELEMETRY_ENABLED
-  detail::tls_record().raise_high_water(depth);
+  detail::raise(detail::tls_record().pq_high_water.v, depth);
 #else
   (void)depth;
 #endif
 }
 
 /// Record the depth of a persona LPC mailbox after an enqueue (tracks the
-/// high-water mark; callable from any producer thread).
+/// high-water mark). Callable from any producer thread: each producer
+/// raises its own record's mark, and aggregate() takes the max.
 inline void note_lpc_mailbox_depth(std::size_t depth) noexcept {
 #if ASPEN_TELEMETRY_ENABLED
-  detail::tls_record().raise_lpc_mailbox_high_water(depth);
+  detail::raise(detail::tls_record().lpc_mailbox_high_water.v, depth);
 #else
   (void)depth;
 #endif
@@ -390,8 +391,7 @@ inline void note_lpc_mailbox_depth(std::size_t depth) noexcept {
 /// Record one capacity growth of a progress-queue vector.
 inline void note_pq_reserve_growth() noexcept {
 #if ASPEN_TELEMETRY_ENABLED
-  detail::tls_record().pq_reserve_growths.v.fetch_add(
-      1, std::memory_order_relaxed);
+  detail::bump(detail::tls_record().pq_reserve_growths.v, 1);
 #endif
 }
 
@@ -438,6 +438,18 @@ void set_clock_sync(std::int64_t offset_ns) noexcept;
 // The per-op record: one context for the latency streams and otrace
 // ---------------------------------------------------------------------------
 
+/// The latency streams' sampling period: of any kLatSamplePeriod
+/// consecutive sample-eligible ops on one thread (rput, rget, the atomics,
+/// rpc, when_all), exactly one is timed and records its issue->completion
+/// sample, so a histogram's total counts samples, not ops. The progress
+/// tick samples one pair of consecutive ticks per period. A fixed
+/// constant, not a knob. Odd on purpose: an even period aliases with an
+/// op mix that alternates two kinds (eager/deferred, local/remote) and
+/// would put every sample on one of them.
+inline constexpr std::uint32_t kLatSamplePeriod = 61;
+static_assert(kLatSamplePeriod % 2 == 1,
+              "an even sampling period aliases with alternating op mixes");
+
 #if ASPEN_TELEMETRY_ENABLED
 
 namespace detail {
@@ -457,16 +469,61 @@ namespace detail {
 /// id parameter threaded through every handle_sync/handle_async overload.
 /// otrace::current() is its `trace` field.
 struct op_ctx {
-  std::uint64_t issue_ns = 0;  ///< issue time, valid while `active`
+  std::uint64_t issue_ns = 0;  ///< issue time, valid while timed()
   std::uint64_t trace = 0;     ///< otrace id (0 = unsampled)
-  op_class cls = op_class::rma_put;
-  bool active = false;  ///< a classed op_scope is open
+  /// The op of the open classed op_scope: 0 when none is open, else
+  /// kOpActive | [kOpTimed] | class. A whole word like the other two
+  /// fields, so the scope's save, restore and op_capture's copy move
+  /// whole words and a read right after a write always store-forwards.
+  std::uint64_t op = 0;
+
+  static constexpr std::uint64_t kOpActive = std::uint64_t{1} << 8;
+  static constexpr std::uint64_t kOpTimed = std::uint64_t{1} << 9;
+  static_assert(kOpClassCount <= 0xff, "the class must fit the low byte");
+
+  [[nodiscard]] static constexpr std::uint64_t word(op_class c,
+                                                    bool timed) noexcept {
+    return kOpActive | (timed ? kOpTimed : 0) | static_cast<std::uint64_t>(c);
+  }
+  [[nodiscard]] bool active() const noexcept { return op != 0; }
+  /// Drawn for a latency sample.
+  [[nodiscard]] bool timed() const noexcept { return (op & kOpTimed) != 0; }
+  [[nodiscard]] op_class cls() const noexcept {
+    return static_cast<op_class>(op & 0xff);
+  }
 };
 
-[[nodiscard]] inline op_ctx& tls_op() noexcept {
-  static thread_local op_ctx o;
-  return o;
+/// Everything the per-op instrumentation keeps per thread: the op record
+/// and the two sampling countdowns. Constant-initialized and trivially
+/// destructible, so an access is a plain TLS load with no init guard.
+struct thread_ctx {
+  op_ctx op;
+  std::uint32_t op_countdown = 1;    ///< ops until the next timed one
+  std::uint32_t tick_countdown = 1;  ///< ticks until the next gap pair
+  std::uint64_t tick_open_ns = 0;    ///< first tick of an open pair (0 none)
+};
+
+[[nodiscard]] inline thread_ctx& tls_ctx() noexcept {
+  static thread_local thread_ctx t;
+  return t;
 }
+
+[[nodiscard]] inline op_ctx& tls_op() noexcept { return tls_ctx().op; }
+
+/// Draw the thread's 1-in-kLatSamplePeriod latency countdown: true for the
+/// one op of each period that is timed.
+[[nodiscard]] inline bool draw_timed() noexcept {
+  thread_ctx& t = tls_ctx();
+  if (--t.op_countdown != 0) return false;
+  t.op_countdown = kLatSamplePeriod;
+  return true;
+}
+
+/// otrace's sampling mirror: otrace.cpp stores sample_n here once it is
+/// configured; all ones before that, so the first op calls out and the
+/// environment is parsed. op_scope calls trace_begin only while it is
+/// nonzero, so with sampling off an op pays one relaxed load.
+inline std::atomic<std::uint32_t> g_trace_gate{~std::uint32_t{0}};
 
 /// otrace's side of the record, defined in otrace.cpp next to its sampler
 /// and ring. trace_begin draws the sample decision and, on a hit, appends
@@ -477,22 +534,37 @@ struct op_ctx {
 void trace_fulfill(std::uint64_t id, disposition d,
                    std::uint64_t now_ns) noexcept;
 
+/// Draw otrace's sample decision for `o` unless a trace is already active
+/// or the gate says sampling is off.
+inline void begin_trace(op_ctx& o, std::uint64_t issue_ns) noexcept {
+  if (g_trace_gate.load(std::memory_order_relaxed) != 0 && o.trace == 0)
+    o.trace = trace_begin(issue_ns);
+}
+
 /// A notification of `o` fired: one clock read serves its latency sample
-/// and its otrace record.
+/// (timed ops only) and its otrace record (sampled ops only).
 inline void note_fulfilled(const op_ctx& o, disposition d) noexcept {
-  if (!o.active && o.trace == 0) return;
+  if (!o.timed() && o.trace == 0) return;
   const std::uint64_t now = trace_now_ns();
-  if (o.active) note_latency(stream_of(o.cls, d), now - o.issue_ns);
+  if (o.timed()) note_latency(stream_of(o.cls(), d), now - o.issue_ns);
   if (o.trace != 0) trace_fulfill(o.trace, d, now);
 }
 
 }  // namespace detail
 
-/// The latency clock, or 0 when telemetry is compiled out. Payload stamps
-/// (e.g. the rpc request's issue timestamp) use this so wire layouts stay
-/// identical across build configurations.
-[[nodiscard]] inline std::uint64_t lat_now_ns() noexcept {
-  return detail::trace_now_ns();
+/// The issue stamp of an op timed outside op_scope: rpc's echoed request
+/// stamp and when_all's. Draws the same countdown as op_scope and returns
+/// the clock for a timed op, else 0, which note_latency_since skips. The
+/// rpc request always carries the word (0 when compiled out), so its
+/// layout is build-independent.
+[[nodiscard]] inline std::uint64_t sampled_issue_ns() noexcept {
+  return detail::draw_timed() ? detail::trace_now_ns() : 0;
+}
+
+/// Record now - `issue_ns` on `s` unless the op was untimed (`issue_ns`
+/// 0).
+inline void note_latency_since(lat_stream s, std::uint64_t issue_ns) noexcept {
+  if (issue_ns != 0) note_latency(s, detail::trace_now_ns() - issue_ns);
 }
 
 /// RAII op-issue marker: the one per-op context. Nests (saves and restores
@@ -501,21 +573,22 @@ inline void note_fulfilled(const op_ctx& o, disposition d) noexcept {
 /// completion stays on the enclosing trace.
 class op_scope {
  public:
-  /// rput, rget and the atomics: stamps the issue time once. Every
-  /// notification the op spawns records now - issue_ns on the stream for
-  /// (cls, disposition), and a sampled op's inject record reuses the stamp.
+  /// rput, rget and the atomics: draws the latency countdown and, for a
+  /// timed op, stamps the issue time once. Every notification of a timed
+  /// op records now - issue_ns on the stream for (cls, disposition), and a
+  /// sampled op's inject record reuses the stamp.
   explicit op_scope(op_class cls) noexcept : saved_(detail::tls_op()) {
     detail::op_ctx& o = detail::tls_op();
-    o.issue_ns = detail::trace_now_ns();
-    o.cls = cls;
-    o.active = true;
-    if (o.trace == 0) o.trace = detail::trace_begin(o.issue_ns);
+    const bool timed = detail::draw_timed();
+    o.op = detail::op_ctx::word(cls, timed);
+    if (timed) o.issue_ns = detail::trace_now_ns();
+    detail::begin_trace(o, timed ? o.issue_ns : 0);
   }
   /// rpc and rpc_ff: no latency stream through this record (rpc echoes
-  /// its own issue stamp), so no clock read unless sampled.
+  /// its own sampled_issue_ns stamp), so no draw and no clock read unless
+  /// traced.
   op_scope() noexcept : saved_(detail::tls_op()) {
-    detail::op_ctx& o = detail::tls_op();
-    if (o.trace == 0) o.trace = detail::trace_begin(0);
+    detail::begin_trace(detail::tls_op(), 0);
   }
   ~op_scope() { detail::tls_op() = saved_; }
   op_scope(const op_scope&) = delete;
@@ -532,7 +605,8 @@ class op_scope {
 struct op_capture : detail::op_ctx {
   op_capture() noexcept : detail::op_ctx(detail::tls_op()) {}
 
-  /// The deferred notification fires: latency sample and fulfill_deferred.
+  /// The deferred notification fires: latency sample (timed ops) and
+  /// fulfill_deferred (sampled ops).
   void fulfill_deferred() const noexcept {
     detail::note_fulfilled(*this, disposition::deferred);
   }
@@ -540,7 +614,7 @@ struct op_capture : detail::op_ctx {
   /// Register the captured op with the stall watchdog (0 when untracked:
   /// watchdog disabled, or no classed op_scope was active at capture).
   [[nodiscard]] std::uint64_t track() const noexcept {
-    return active ? watchdog::track_op(cls) : 0;
+    return active() ? watchdog::track_op(cls()) : 0;
   }
 };
 
@@ -551,21 +625,31 @@ inline void fulfill_eager() noexcept {
   detail::note_fulfilled(detail::tls_op(), disposition::eager);
 }
 
-/// Progress-engine heartbeat: records the inter-arrival gap since this
-/// thread's previous progress() entry (the starvation signal) and feeds
-/// the stall watchdog.
+/// Progress-engine heartbeat. The progress_gap stream (the starvation
+/// signal) records the gap of one pair of consecutive ticks per
+/// kLatSamplePeriod, so an unsampled tick reads no clock; while the stall
+/// watchdog may be armed every tick reads it and feeds the watchdog.
 inline void note_progress_tick() noexcept {
-  const std::uint64_t now = detail::trace_now_ns();
-  static thread_local std::uint64_t last = 0;
-  if (last != 0 && now > last)
-    note_latency(lat_stream::progress_gap, now - last);
-  last = now;
-  watchdog::note_progress(now);
+  detail::thread_ctx& t = detail::tls_ctx();
+  std::uint64_t now = 0;
+  if (t.tick_open_ns != 0) {  // second tick of a sampled pair
+    now = detail::trace_now_ns();
+    if (now > t.tick_open_ns)
+      note_latency(lat_stream::progress_gap, now - t.tick_open_ns);
+    t.tick_open_ns = 0;
+  } else if (--t.tick_countdown == 0) {  // first tick of a sampled pair
+    t.tick_countdown = kLatSamplePeriod;
+    now = detail::trace_now_ns();
+    t.tick_open_ns = now;
+  }
+  if (watchdog::may_be_armed())
+    watchdog::note_progress(now != 0 ? now : detail::trace_now_ns());
 }
 
 #else  // !ASPEN_TELEMETRY_ENABLED
 
-[[nodiscard]] inline std::uint64_t lat_now_ns() noexcept { return 0; }
+[[nodiscard]] inline std::uint64_t sampled_issue_ns() noexcept { return 0; }
+inline void note_latency_since(lat_stream, std::uint64_t) noexcept {}
 
 /// User-provided constructors: an unused scope local never warns.
 class op_scope {

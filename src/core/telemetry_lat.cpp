@@ -106,8 +106,8 @@ struct pending_op {
 
 struct wd_state {
   std::mutex mu;
-  // Configuration (guarded by mu; read through the relaxed mirror below
-  // on the hot path).
+  // Configuration (guarded by mu; read through detail::g_wd_mode on the
+  // hot path).
   bool configured = false;
   std::uint64_t threshold_ns = 0;
   std::string report_base = "aspen";
@@ -118,7 +118,6 @@ struct wd_state {
   std::map<std::uint64_t, pending_op> pending;
   transport_probe probe;  ///< guarded by mu
   std::atomic<int> reports{0};
-  std::atomic<bool> enabled_mirror{false};
   std::atomic<bool> signal_installed{false};
   /// 0 healthy, 1 stall episode active, 2 recovered (health_state()).
   std::atomic<int> health{0};
@@ -147,6 +146,13 @@ wd_tls& tls() noexcept {
   return t;
 }
 
+/// Mirror the configuration into detail::g_wd_mode (under mu).
+void publish_mode_locked(const wd_state& s) {
+  detail::g_wd_mode.store(
+      s.threshold_ns != 0 ? detail::wd_mode::armed : detail::wd_mode::off,
+      std::memory_order_release);
+}
+
 void ensure_configured_locked(wd_state& s) {
   if (s.configured) return;
   s.configured = true;
@@ -162,7 +168,7 @@ void ensure_configured_locked(wd_state& s) {
     }
   }
   s.report_base = artifact_base();
-  s.enabled_mirror.store(s.threshold_ns != 0, std::memory_order_relaxed);
+  publish_mode_locked(s);
 }
 
 std::uint64_t threshold_ns_locked(wd_state& s) {
@@ -307,17 +313,19 @@ void configure(std::uint64_t threshold_ms, const char* report_base) noexcept {
   s.configured = true;
   s.threshold_ns = threshold_ms * 1'000'000u;
   s.report_base = report_base == nullptr ? "aspen" : report_base;
-  s.enabled_mirror.store(s.threshold_ns != 0, std::memory_order_relaxed);
+  publish_mode_locked(s);
 }
 
 bool enabled() noexcept {
+  const detail::wd_mode m = detail::g_wd_mode.load(std::memory_order_relaxed);
+  if (m != detail::wd_mode::unconfigured) return m == detail::wd_mode::armed;
+  // Parse the environment exactly once; every later call, armed or off,
+  // is the one relaxed load above.
   wd_state& s = st();
-  if (!s.enabled_mirror.load(std::memory_order_relaxed)) {
-    // Cheap until first configured; parse the environment exactly once.
-    std::lock_guard<std::mutex> lk(s.mu);
-    ensure_configured_locked(s);
-  }
-  return s.enabled_mirror.load(std::memory_order_relaxed);
+  std::lock_guard<std::mutex> lk(s.mu);
+  ensure_configured_locked(s);
+  return detail::g_wd_mode.load(std::memory_order_relaxed) ==
+         detail::wd_mode::armed;
 }
 
 std::uint64_t threshold_ms() noexcept {
@@ -351,17 +359,14 @@ void note_progress(std::uint64_t now_ns) noexcept {
   wd_tls& t = tls();
   const std::uint64_t prev = t.last_progress_ns;
   t.last_progress_ns = now_ns;
-  if (!st().enabled_mirror.load(std::memory_order_relaxed) &&
-      g_report_requested == 0) {
-    // enabled() below would parse the env lazily; do it only until the
-    // first real check resolves the configuration.
-    if (!enabled()) return;
-  }
+  if (!enabled()) return;
   maybe_check(now_ns, prev);
 }
 
 void poll_check() noexcept {
-  if (!st().enabled_mirror.load(std::memory_order_relaxed)) return;
+  if (detail::g_wd_mode.load(std::memory_order_relaxed) !=
+      detail::wd_mode::armed)
+    return;
   const std::uint64_t now = detail::trace_now_ns();
   maybe_check(now, tls().last_progress_ns);
 }

@@ -29,11 +29,12 @@
 // watchdog compile to nothing (the types below remain so snapshots keep a
 // stable layout).
 //
-// Deliberately dependency-free below <functional>/<string> so
+// Deliberately dependency-free below <atomic>/<functional>/<string> so
 // telemetry.hpp can include it ahead of the record definition.
 #pragma once
 
 #include <array>
+#include <atomic>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
@@ -200,6 +201,19 @@ inline void lat_subtract(lat_hist& from, const lat_hist& rhs) noexcept {
 // Stall watchdog (ASPEN_WATCHDOG_MS)
 // ---------------------------------------------------------------------------
 
+#if ASPEN_TELEMETRY_ENABLED
+namespace detail {
+
+/// The watchdog's configuration mirror, which every hot-path check reads
+/// with one relaxed load: unconfigured until the first
+/// watchdog::enabled() parses ASPEN_WATCHDOG_MS (or watchdog::configure()
+/// runs), then off or armed.
+enum class wd_mode : std::uint8_t { unconfigured, off, armed };
+inline std::atomic<wd_mode> g_wd_mode{wd_mode::unconfigured};
+
+}  // namespace detail
+#endif
+
 namespace watchdog {
 
 /// Point-in-time transport health supplied by the conduit::tcp endpoint
@@ -231,6 +245,14 @@ using transport_probe = std::function<transport_status()>;
 void configure(std::uint64_t threshold_ms, const char* report_base) noexcept;
 
 [[nodiscard]] bool enabled() noexcept;
+
+/// Armed, or not yet configured: the progress tick's inline gate. Once the
+/// environment is parsed and the watchdog is off, a tick skips the clock
+/// read and the note_progress() call.
+[[nodiscard]] inline bool may_be_armed() noexcept {
+  return detail::g_wd_mode.load(std::memory_order_relaxed) !=
+         detail::wd_mode::off;
+}
 [[nodiscard]] std::uint64_t threshold_ms() noexcept;
 
 /// Tag the calling thread with its rank (forwarded from
@@ -242,9 +264,9 @@ void set_thread_rank(int rank) noexcept;
 [[nodiscard]] std::uint64_t track_op(op_class cls) noexcept;
 void complete_op(std::uint64_t id) noexcept;
 
-/// Progress-engine heartbeat: records this thread's progress timestamp and
-/// runs the (time-throttled) stall check. `now_ns` is
-/// detail::trace_now_ns().
+/// Progress-engine heartbeat while may_be_armed(): records this thread's
+/// progress timestamp and runs the (time-throttled) stall check. `now_ns`
+/// is telemetry::detail::trace_now_ns().
 void note_progress(std::uint64_t now_ns) noexcept;
 
 /// As note_progress but reads the clock itself; hook for transport pumps.

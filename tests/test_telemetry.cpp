@@ -113,11 +113,15 @@ TEST(Telemetry, LoopbackRemoteOpsCountAsRemoteAsync) {
   });
 }
 
-// Every notification adds exactly one latency sample, to the stream of its
-// (op_class, disposition): eager sites read the op record inside the op's
-// scope; deferred closures and op_records read the record they captured at
-// injection. The rput's remote_cx::as_rpc sends an rpc_ff, which opens the
-// class-less scope inside the rput's; it must leave the rput's sample alone.
+// The latency streams are sampled: of any kLatSamplePeriod consecutive
+// timed-eligible ops on one thread exactly one is timed, and each timed
+// op's notification adds one sample to the stream of its (op_class,
+// disposition). Eager sites read the op record inside the op's scope;
+// deferred closures and op_records read the record they captured at
+// injection. So a run of k * kLatSamplePeriod ops of one kind carries
+// exactly k samples, whatever the countdown's phase. The rput's
+// remote_cx::as_rpc sends an rpc_ff, which opens the class-less scope
+// inside the rput's; it draws no sample and must leave the rput's alone.
 TEST(Telemetry, LatencyStreamsFollowOpClassAndDisposition) {
   gex::config g;
   g.transport = gex::conduit::loopback;
@@ -128,8 +132,9 @@ TEST(Telemetry, LatencyStreamsFollowOpClassAndDisposition) {
     atomic_domain<std::uint64_t> ad({gex::amo_op::fadd});
     barrier();
     if (rank_me() == 0) {
-      constexpr std::uint64_t kN = 8;
-      static thread_local bool rpc_ran = false;
+      constexpr std::uint64_t kK = 2;  // samples per run of ops
+      constexpr std::uint64_t kN = kK * telemetry::kLatSamplePeriod;
+      static thread_local std::uint64_t rpcs_ran = 0;
       const auto before = telemetry::local_snapshot();
       for (std::uint64_t i = 0; i < kN; ++i)
         rput(std::uint64_t{1}, mine, operation_cx::as_eager_future()).wait();
@@ -141,20 +146,21 @@ TEST(Telemetry, LatencyStreamsFollowOpClassAndDisposition) {
         (void)ad.fetch_add(mine, 1, operation_cx::as_defer_future()).wait();
       for (std::uint64_t i = 0; i < kN; ++i)  // loopback-remote: op_record
         (void)ad.fetch_add(theirs, 1, operation_cx::as_future()).wait();
-      rput(std::uint64_t{1}, mine,
-           operation_cx::as_eager_future() |
-               remote_cx::as_rpc([] { rpc_ran = true; }))
-          .wait();
-      while (!rpc_ran) progress();
+      for (std::uint64_t i = 0; i < kN; ++i)
+        rput(std::uint64_t{1}, mine,
+             operation_cx::as_eager_future() |
+                 remote_cx::as_rpc([] { ++rpcs_ran; }))
+            .wait();
+      while (rpcs_ran < kN) progress();
       const auto d = delta_since(before);
       EXPECT_EQ(d.get(telemetry::counter::cx_remote_async), kN);
 
       using telemetry::lat_stream;
       std::array<std::uint64_t, telemetry::kLatStreamCount> want{};
-      want[static_cast<std::size_t>(lat_stream::rma_put_eager)] = kN + 1;
-      want[static_cast<std::size_t>(lat_stream::rma_get_deferred)] = kN;
-      want[static_cast<std::size_t>(lat_stream::amo_eager)] = kN;
-      want[static_cast<std::size_t>(lat_stream::amo_deferred)] = 2 * kN;
+      want[static_cast<std::size_t>(lat_stream::rma_put_eager)] = 2 * kK;
+      want[static_cast<std::size_t>(lat_stream::rma_get_deferred)] = kK;
+      want[static_cast<std::size_t>(lat_stream::amo_eager)] = kK;
+      want[static_cast<std::size_t>(lat_stream::amo_deferred)] = 2 * kK;
       for (std::size_t s = 0; s < telemetry::kLatStreamCount; ++s) {
         const auto ls = static_cast<lat_stream>(s);
         if (ls == lat_stream::progress_gap) continue;  // every wait() ticks
@@ -163,6 +169,27 @@ TEST(Telemetry, LatencyStreamsFollowOpClassAndDisposition) {
     }
     barrier();
     delete_(mine);
+  });
+}
+
+// The sampling period is odd, so it cannot alias with a mix that
+// alternates two kinds of op: the two timed ops of any 2 * kLatSamplePeriod
+// consecutive ops sit an odd distance apart, one of each kind. (With an
+// even period both samples would land on the same kind.)
+TEST(Telemetry, SampledLatencyDoesNotAliasAlternatingOps) {
+  aspen::spmd(1, [] {
+    auto gp = new_<std::uint64_t>(0);
+    atomic_domain<std::uint64_t> ad({gex::amo_op::fadd});
+    const auto before = telemetry::local_snapshot();
+    for (std::uint32_t i = 0; i < telemetry::kLatSamplePeriod; ++i) {
+      (void)ad.fetch_add(gp, 1, operation_cx::as_eager_future()).wait();
+      (void)ad.fetch_add(gp, 1, operation_cx::as_defer_future()).wait();
+    }
+    const auto d = delta_since(before);
+    using telemetry::lat_stream;
+    EXPECT_EQ(d.lat_of(lat_stream::amo_eager).total(), 1u);
+    EXPECT_EQ(d.lat_of(lat_stream::amo_deferred).total(), 1u);
+    delete_(gp);
   });
 }
 
