@@ -199,7 +199,7 @@ int main() {
       barrier();
       if (rank_me() == 1) delete_(gp);
     });
-    const std::string path = aspen::otrace::dump_path("fig2_4_micro", 0);
+    const std::string path = aspen::otrace::export_path("fig2_4_micro", 0);
     const bool written = aspen::otrace::export_json(path, 0);
     aspen::otrace::configure(0, 1 << 20, nullptr);
     if (written)

@@ -279,7 +279,7 @@ int run_monitored_job(const top_options& o) {
           // so its own row is as live as everyone else's.
           telemetry::live::collector_note_local(
               telemetry::live::capture_total(),
-              net::endpoint::instance()->live_gauges());
+              net::endpoint::instance()->transport_gauges().live);
           render_frame(rank_n(), round, o.rounds, /*clear_screen=*/!o.once);
         }
       }

@@ -96,18 +96,20 @@
 //                          the job-wide aggregate with no sidecar files
 //                          (unset/0 = off; clamped to 1 h)
 //   ASPEN_TELEMETRY_TRACE  base path <base> of every per-rank diagnostic
-//                          file: otrace exports and dumps
-//                          (<base>.rank<R>.otrace.json) and watchdog
-//                          health reports (default "aspen")
+//                          file: the otrace region-exit export
+//                          (<base>.rank<R>.otrace.json) and the
+//                          flight-recorder dump a stall or signal writes
+//                          (<base>.rank<R>.flight.json) (default "aspen")
 //
 // Stall watchdog and the aspen-top monitor (see docs/TELEMETRY.md):
 //   ASPEN_WATCHDOG_MS      non-zero arms the stall watchdog: a rank whose
 //                          oldest pending remote op, progress gap (with
 //                          work pending), or send-queue drain exceeds this
-//                          many ms dumps <base>.rank<R>.health.json once
-//                          per stall episode (<base> from
-//                          ASPEN_TELEMETRY_TRACE); SIGUSR1 forces a dump
-//                          (unset/0 = off)
+//                          many ms writes its flight-recorder dump
+//                          <base>.rank<R>.flight.json, a health object
+//                          ahead of the ring's records, once per stall
+//                          episode (<base> from ASPEN_TELEMETRY_TRACE);
+//                          SIGUSR1 forces a dump (unset/0 = off)
 //   ASPEN_TOP_INTERVAL_MS  aspen-top refresh interval when --interval is
 //                          not given (default 500, clamped to 1 min)
 //   ASPEN_RUN              aspen-top: path to the aspen-run launcher

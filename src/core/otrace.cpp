@@ -22,6 +22,10 @@ const char* to_string(stage s) noexcept {
 }
 
 std::string dump_path(const std::string& base, int rank) {
+  return base + ".rank" + std::to_string(rank) + ".flight.json";
+}
+
+std::string export_path(const std::string& base, int rank) {
   return base + ".rank" + std::to_string(rank) + ".otrace.json";
 }
 
@@ -83,7 +87,7 @@ struct ot_state {
   std::atomic<bool> handlers_installed{false};
   // Rendered once at configure/first-rank time so the signal handler only
   // reads plain bytes (std::string methods are not async-signal-safe).
-  char dump_path_buf[512] = "aspen.rank0.otrace.json";
+  char dump_path_buf[512] = "aspen.rank0.flight.json";
   std::atomic<bool> dump_path_valid{false};
   struct sigaction prev_segv{};
   struct sigaction prev_abrt{};
@@ -190,8 +194,8 @@ void ensure_configured_locked(ot_state& s) {
       parse_sample(std::getenv("ASPEN_TRACE_SAMPLE"));
   const std::uint64_t ring_bytes =
       parse_ring_bytes(std::getenv("ASPEN_TRACE_RING_BYTES"));
-  // The one diagnostic base, shared with the watchdog's health reports,
-  // so one job's artifacts land together.
+  // The one diagnostic base, shared with the watchdog's dumps, so one
+  // job's artifacts land together.
   s.base = telemetry::artifact_base();
   apply_config_locked(s, sample, ring_bytes);
 }
@@ -232,18 +236,25 @@ struct sink {
   char buf[1024];
   std::size_t off = 0;
 
-  void flush() noexcept {
+  void put(const char* p, std::size_t n) noexcept {
     std::size_t done = 0;
-    while (done < off) {
-      const ssize_t w = ::write(fd, buf + done, off - done);
+    while (done < n) {
+      const ssize_t w = ::write(fd, p + done, n - done);
       if (w <= 0) break;
       done += static_cast<std::size_t>(w);
     }
+  }
+  void flush() noexcept {
+    put(buf, off);
     off = 0;
   }
   void lit(const char* s) noexcept {
     const std::size_t n = std::strlen(s);
     if (off + n > sizeof buf) flush();
+    if (n > sizeof buf) {
+      put(s, n);  // longer than the buffer (a health object): write through
+      return;
+    }
     std::memcpy(buf + off, s, n);
     off += n;
   }
@@ -292,11 +303,17 @@ void for_each_record(Fn&& fn) noexcept {
   }
 }
 
-void dump_to_fd(int fd) noexcept {
+/// The dump body: `health` (a rendered JSON object, or nullptr) ahead of
+/// the ring's records. Async-signal-safe when `health` is nullptr.
+void dump_to_fd(int fd, int rank, const char* health) noexcept {
   ot_state& s = st();
   sink out(fd);
   out.lit("{\"otrace_dump\":true,\"rank\":");
-  out.sdec(s.rank.load(std::memory_order_relaxed));
+  out.sdec(rank);
+  if (health != nullptr) {
+    out.lit(",\"health\":");
+    out.lit(health);
+  }
   out.lit(",\"records_appended\":");
   out.dec(s.head.load(std::memory_order_relaxed));
   out.lit(",\"ring_capacity\":");
@@ -477,11 +494,18 @@ void dump_signal_safe() noexcept {
   if (!s.dump_path_valid.load(std::memory_order_acquire)) return;
   const int fd = ::open(s.dump_path_buf, O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) return;
-  dump_to_fd(fd);
+  dump_to_fd(fd, s.rank.load(std::memory_order_relaxed), nullptr);
   ::close(fd);
 }
 
-void dump_now() noexcept { dump_signal_safe(); }
+std::string dump_now(int rank, const std::string& health_json) {
+  const std::string path = dump_path(dump_base(), rank);
+  const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  if (fd < 0) return {};
+  dump_to_fd(fd, rank, health_json.c_str());
+  ::close(fd);
+  return path;
+}
 
 std::vector<record_view> snapshot_records() {
   std::vector<record_view> out;

@@ -35,16 +35,22 @@
 // Every hop appends one fixed-size stage record to a process-global
 // lock-free ring (ASPEN_TRACE_RING_BYTES, default 1 MiB). The ring is the
 // flight recorder: it is never drained during the run, so at any instant it
-// holds the most recent stage records — a black box. It dumps to
-// "<base>.rank<R>.otrace.json" on watchdog trip, SIGSEGV/SIGABRT, or
-// SIGUSR2 (async-signal-safe writer: open/write only), and at region exit
-// the conduit::tcp endpoint exports the same records as Perfetto spans with
-// flow events chaining every cross-rank hop (merge the per-rank files with
-// bench::merge_rank_otraces). <base> is telemetry::artifact_base()
-// (ASPEN_TELEMETRY_TRACE, default "aspen"), shared with the watchdog's
-// health reports. Timestamps are absolute steady-clock nanoseconds
-// corrected by the bootstrap clock-sync offset (telemetry::set_clock_sync),
-// so all ranks of one job land on a single monotone timeline.
+// holds the most recent stage records — a black box. Two files per rank
+// read it, under <base> = telemetry::artifact_base() (ASPEN_TELEMETRY_TRACE,
+// default "aspen"):
+//   - the dump, "<base>.rank<R>.flight.json": one file per stall or signal.
+//     A watchdog trip or SIGUSR1 writes a "health" object followed by the
+//     ring's records (records empty while sampling is off); SIGUSR2 and the
+//     SIGSEGV/SIGABRT hooks write the records alone from an
+//     async-signal-safe writer (open/write only);
+//   - the export, "<base>.rank<R>.otrace.json": at region exit the
+//     conduit::tcp endpoint writes the same records as Perfetto spans with
+//     flow events chaining every cross-rank hop (merge the per-rank files
+//     with bench::merge_rank_otraces).
+// The names differ so a region-exit export never overwrites a dump taken
+// mid-region. Timestamps are absolute steady-clock nanoseconds corrected by
+// the bootstrap clock-sync offset (telemetry::set_clock_sync), so all ranks
+// of one job land on a single monotone timeline.
 //
 // otrace is the runtime's only timeline: an op's interval is the edge from
 // its inject record to its fulfill_eager or fulfill_deferred record.
@@ -97,8 +103,11 @@ struct record_view {
   std::uint16_t tag = 0;    ///< recording thread tag (persona/thread)
 };
 
-/// The per-rank dump/export path: "<base>.rank<R>.otrace.json".
+/// The per-rank flight-recorder dump: "<base>.rank<R>.flight.json".
 [[nodiscard]] std::string dump_path(const std::string& base, int rank);
+
+/// The per-rank region-exit Perfetto export: "<base>.rank<R>.otrace.json".
+[[nodiscard]] std::string export_path(const std::string& base, int rank);
 
 /// Salts XORed onto a rendezvous message's wire edge id so the RTS, CTS and
 /// DATA legs bind as three distinct Perfetto flows even though RTS and DATA
@@ -117,8 +126,9 @@ inline constexpr std::uint64_t kEdgeSaltCts = 0x165667B19E3779F9ull;
 // ---------------------------------------------------------------------------
 
 /// Explicit (re)configuration — overrides ASPEN_TRACE_SAMPLE /
-/// ASPEN_TRACE_RING_BYTES / the dump base; sample_n == 0 disables. Used by
-/// tests; the environment is parsed lazily on first use otherwise.
+/// ASPEN_TRACE_RING_BYTES / the dump and export base; sample_n == 0
+/// disables sampling (the base still names watchdog dumps). Used by tests;
+/// the environment is parsed lazily on first use otherwise.
 void configure(std::uint32_t sample_n, std::uint64_t ring_bytes,
                const char* base) noexcept;
 
@@ -129,8 +139,8 @@ void configure(std::uint32_t sample_n, std::uint64_t ring_bytes,
 /// Ring capacity in records (rounded down to a power of two).
 [[nodiscard]] std::uint64_t ring_capacity() noexcept;
 
-/// The configured dump/export base name (telemetry::artifact_base() unless
-/// configure() named one). Stable storage once configured.
+/// The configured dump and export base name (telemetry::artifact_base()
+/// unless configure() named one). Stable storage once configured.
 [[nodiscard]] const char* dump_base() noexcept;
 
 /// Tag the calling thread with its rank (forwarded from
@@ -192,12 +202,15 @@ class scope {
 /// while disabled.
 void install_crash_handlers() noexcept;
 
-/// Dump the ring to dump_path(base, rank) from a safe (non-signal)
-/// context: the watchdog calls this when it writes a health report.
-void dump_now() noexcept;
+/// Write dump_path(dump_base(), rank) from a safe (non-signal) context:
+/// `health_json`, a JSON object, as the "health" member, then the ring's
+/// records (none while sampling is off). The watchdog's stall report.
+/// Returns the path written, or "" if it cannot be opened.
+std::string dump_now(int rank, const std::string& health_json);
 
-/// Async-signal-safe ring dump (open/write only); the SIGUSR2/SIGSEGV/
-/// SIGABRT handler body. Exposed for tests.
+/// Async-signal-safe dump (open/write only) of the ring alone, for the
+/// first rank this process saw; the SIGUSR2/SIGSEGV/SIGABRT handler body.
+/// Writes nothing while sampling is off. Exposed for tests.
 void dump_signal_safe() noexcept;
 
 /// Export the ring as a Perfetto Trace Event JSON file: one 'X' slice per
@@ -242,7 +255,7 @@ static_assert(sizeof(scope) == 1,
 inline void note(stage, std::uint64_t = 0) noexcept {}
 inline void note_id(std::uint64_t, stage, std::uint64_t = 0) noexcept {}
 inline void install_crash_handlers() noexcept {}
-inline void dump_now() noexcept {}
+inline std::string dump_now(int, const std::string&) { return {}; }
 inline void dump_signal_safe() noexcept {}
 inline bool export_json(const std::string&, int) { return false; }
 [[nodiscard]] inline std::vector<record_view> snapshot_records() {

@@ -73,9 +73,9 @@ constexpr const char* kCounterNames[] = {
 static_assert(std::size(kCounterNames) == kCounterCount,
               "counter name table out of sync with the enum");
 
-// Names are serialization keys (JSON sidecars, the sidecar reader's
-// name->index lookup, and the wire-frame field space): a duplicate or
-// malformed entry would silently alias two counters. Enforce uniqueness
+// Names are serialization keys (the JSON reports and the wire-frame
+// field space): a duplicate or malformed entry would silently alias two
+// counters. Enforce uniqueness
 // and snake_case shape at compile time.
 constexpr bool counter_names_well_formed() {
   for (std::size_t i = 0; i < kCounterCount; ++i) {

@@ -21,7 +21,8 @@
 //     use and merge into a retired aggregate at thread exit, so
 //     telemetry::aggregate() works both during and after an spmd() run;
 //   - telemetry::snapshot is a plain value type with operator- for
-//     interval deltas, and to_json() for the benchmark sidecar files;
+//     interval deltas, merge_into() for cross-rank folds, and to_json()
+//     for the figure drivers' report files;
 //   - one per-op context: op_scope fills a thread-local op record {issue
 //     time, otrace id, op word (class, timed bit)} at every rput, rget and
 //     atomic (rpc and rpc_ff open it without a class). The latency streams
@@ -220,8 +221,8 @@ struct snapshot {
   }
 
   /// Completion items issued = eager + deferred + remote-async. The
-  /// invariant the benchmark sidecars assert: every item lands in exactly
-  /// one disposition bucket.
+  /// invariant the figure drivers' reports assert: every item lands in
+  /// exactly one disposition bucket.
   [[nodiscard]] std::uint64_t completions_issued() const noexcept {
     return get(counter::cx_eager_taken) + get(counter::cx_deferred_queued) +
            get(counter::cx_remote_async);
@@ -258,11 +259,10 @@ struct snapshot {
 };
 
 /// Merge `part` into `into` with cross-rank semantics: counters, the fire
-/// histogram and the monotone progress-queue sums add; high-water marks
-/// take the max (a depth in one process says nothing about another's).
-/// This single definition backs both the post-hoc sidecar merge
-/// (bench::merge_snapshots) and the live wire aggregation
-/// (telemetry::live), so the two paths agree bit-for-bit by construction.
+/// histogram, the monotone progress-queue sums and the latency buckets
+/// add; high-water marks and latency max_ns take the max (a depth in one
+/// process says nothing about another's). The live wire aggregation
+/// (telemetry::live) folds with this one definition.
 void merge_into(snapshot& into, const snapshot& part) noexcept;
 
 // ---------------------------------------------------------------------------
@@ -429,9 +429,10 @@ void set_clock_sync(std::int64_t offset_ns) noexcept;
 [[nodiscard]] bool clock_synced() noexcept;
 [[nodiscard]] std::int64_t clock_offset_ns() noexcept;
 
-/// The base path of every per-rank diagnostic file (otrace exports and
-/// dumps, watchdog health reports): ASPEN_TELEMETRY_TRACE, else "aspen".
-/// otrace::configure and watchdog::configure override it in-process.
+/// The base path of every per-rank diagnostic file (otrace's region-exit
+/// export and its flight-recorder dump, which the watchdog writes too):
+/// ASPEN_TELEMETRY_TRACE, else "aspen". otrace::configure overrides it
+/// in-process.
 [[nodiscard]] const char* artifact_base() noexcept;
 
 // ---------------------------------------------------------------------------

@@ -1,7 +1,6 @@
 #include "core/telemetry_lat.hpp"
 
 #include <cinttypes>
-#include <cstdio>
 
 #include "core/log.hpp"
 #include "core/otrace.hpp"
@@ -13,6 +12,8 @@
 #include <cstdlib>
 #include <map>
 #include <mutex>
+#include <optional>
+#include <string>
 #include <utility>
 #endif
 
@@ -46,8 +47,8 @@ constexpr const char* kOpClassNames[] = {
 static_assert(std::size(kOpClassNames) == kOpClassCount,
               "op_class name table out of sync with the enum");
 
-// Same serialization-key discipline as the counter names: the sidecar
-// parser looks streams up by name, so a duplicate or malformed entry would
+// Same serialization-key discipline as the counter names: the JSON
+// reports key streams by name, so a duplicate or malformed entry would
 // silently alias two histograms.
 constexpr bool lat_names_well_formed() {
   for (std::size_t i = 0; i < kLatStreamCount; ++i) {
@@ -90,10 +91,6 @@ const char* to_string(op_class c) noexcept {
 
 namespace watchdog {
 
-std::string report_path(const std::string& base, int rank) {
-  return base + ".rank" + std::to_string(rank) + ".health.json";
-}
-
 #if ASPEN_TELEMETRY_ENABLED
 
 namespace {
@@ -110,7 +107,6 @@ struct wd_state {
   // hot path).
   bool configured = false;
   std::uint64_t threshold_ns = 0;
-  std::string report_base = "aspen";
   // Pending-op registry (guarded by mu). Ordered map: ids are issued
   // monotonically, so begin() per rank scan finds the oldest fast enough
   // for a throttled check.
@@ -167,7 +163,6 @@ void ensure_configured_locked(wd_state& s) {
                  "watchdog: ignoring unparsable ASPEN_WATCHDOG_MS=\"%s\"", v);
     }
   }
-  s.report_base = artifact_base();
   publish_mode_locked(s);
 }
 
@@ -178,57 +173,56 @@ std::uint64_t threshold_ns_locked(wd_state& s) {
 
 extern "C" void wd_sigusr1_handler(int) { g_report_requested = 1; }
 
-/// Dump one health report for `rank`. Called with `mu` NOT held (the
-/// transport probe takes the endpoint's peer locks).
+/// Append `"key":value` (comma-led unless first in its object).
+void json_u64(std::string& out, const char* key, std::uint64_t v) {
+  if (out.back() != '{') out += ',';
+  out += '"';
+  out += key;
+  out += "\":";
+  out += std::to_string(v);
+}
+
+/// Write `rank`'s flight-recorder dump with its health object. Called with
+/// `mu` NOT held (the transport probe takes the endpoint's peer locks).
 void write_report(int rank, const char* reason, std::uint64_t now_ns,
                   std::uint64_t threshold_ns, std::size_t pending_count,
                   std::uint64_t oldest_age_ns, const char* oldest_cls,
-                  std::uint64_t gap_ns, const transport_status& ts) {
-  wd_state& s = st();
-  std::string path;
-  {
-    std::lock_guard<std::mutex> lk(s.mu);
-    path = report_path(s.report_base, rank);
+                  std::uint64_t gap_ns,
+                  const std::optional<transport_status>& ts) {
+  std::string h = "{\"reason\":\"";
+  h += reason;
+  h += '"';
+  json_u64(h, "threshold_ms", threshold_ns / 1'000'000u);
+  json_u64(h, "detected_at_ns", now_ns);
+  json_u64(h, "pending_ops", pending_count);
+  json_u64(h, "oldest_op_age_ms", oldest_age_ns / 1'000'000u);
+  h += ",\"oldest_op_class\":\"";
+  h += oldest_cls == nullptr ? "none" : oldest_cls;
+  h += '"';
+  json_u64(h, "progress_gap_ms", gap_ns / 1'000'000u);
+  if (ts) {
+    h += ",\"transport\":{";
+    json_u64(h, "sendq_bytes", ts->live.sendq_bytes);
+    json_u64(h, "sendq_high_water", ts->live.sendq_high_water);
+    json_u64(h, "staged_msgs", ts->live.staged_msgs);
+    json_u64(h, "lpc_mailbox_depth", ts->live.lpc_mailbox_depth);
+    json_u64(h, "wd_state", ts->live.wd_state);
+    json_u64(h, "oldest_sendq_age_ms", ts->oldest_sendq_age_ns / 1'000'000u);
+    json_u64(h, "shm_ring_depth_bytes", ts->shm_ring_depth_bytes);
+    json_u64(h, "shm_ring_high_water", ts->shm_ring_high_water);
+    json_u64(h, "frames_sent", ts->frames_sent);
+    json_u64(h, "frames_delivered", ts->frames_delivered);
+    h += '}';
   }
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return;
-  std::fprintf(f,
-               "{\n  \"rank\": %d,\n  \"reason\": \"%s\",\n"
-               "  \"threshold_ms\": %" PRIu64 ",\n"
-               "  \"detected_at_ns\": %" PRIu64 ",\n"
-               "  \"pending_ops\": %zu,\n"
-               "  \"oldest_op_age_ms\": %" PRIu64 ",\n"
-               "  \"oldest_op_class\": \"%s\",\n"
-               "  \"progress_gap_ms\": %" PRIu64,
-               rank, reason, threshold_ns / 1'000'000u, now_ns,
-               pending_count, oldest_age_ns / 1'000'000u,
-               oldest_cls == nullptr ? "none" : oldest_cls,
-               gap_ns / 1'000'000u);
-  if (ts.valid) {
-    std::fprintf(f,
-                 ",\n  \"transport\": {\n"
-                 "    \"sendq_bytes\": %" PRIu64 ",\n"
-                 "    \"staged_msgs\": %" PRIu64 ",\n"
-                 "    \"oldest_sendq_age_ms\": %" PRIu64 ",\n"
-                 "    \"shm_ring_depth_bytes\": %" PRIu64 ",\n"
-                 "    \"shm_ring_high_water\": %" PRIu64 "%s%s\n  }",
-                 ts.sendq_bytes, ts.staged_msgs,
-                 ts.oldest_sendq_age_ns / 1'000'000u,
-                 ts.shm_ring_depth_bytes, ts.shm_ring_high_water,
-                 ts.detail_json.empty() ? "" : ",\n    ",
-                 ts.detail_json.c_str());
-  }
-  std::fprintf(f, "\n}\n");
-  std::fclose(f);
-  s.reports.fetch_add(1, std::memory_order_relaxed);
+  h += '}';
+  const std::string path = otrace::dump_now(rank, h);
+  if (path.empty()) return;
+  st().reports.fetch_add(1, std::memory_order_relaxed);
   aspen::log(log_level::error,
              "watchdog: rank %d %s (oldest op %" PRIu64 " ms, gap %" PRIu64
              " ms, %zu pending) -> %s",
              rank, reason, oldest_age_ns / 1'000'000u, gap_ns / 1'000'000u,
              pending_count, path.c_str());
-  // A tripped watchdog is exactly the moment the flight recorder exists
-  // for: dump the otrace ring next to the health report.
-  otrace::dump_now();
 }
 
 void maybe_check(std::uint64_t now_ns, std::uint64_t prev_progress_ns) {
@@ -271,7 +265,7 @@ void maybe_check(std::uint64_t now_ns, std::uint64_t prev_progress_ns) {
   const bool forced = g_report_requested != 0;
   if (forced) g_report_requested = 0;
 
-  transport_status ts;
+  std::optional<transport_status> ts;
   const char* reason = nullptr;
   if (oldest_age > threshold) {
     reason = "oldest_op";
@@ -282,10 +276,8 @@ void maybe_check(std::uint64_t now_ns, std::uint64_t prev_progress_ns) {
   }
   if (probe) {
     ts = probe();
-    if (reason == nullptr && ts.valid &&
-        ts.oldest_sendq_age_ns > threshold) {
+    if (reason == nullptr && ts->oldest_sendq_age_ns > threshold)
       reason = "sendq_stall";
-    }
   }
 
   if (reason == nullptr && !forced) {
@@ -307,12 +299,11 @@ void maybe_check(std::uint64_t now_ns, std::uint64_t prev_progress_ns) {
 
 }  // namespace
 
-void configure(std::uint64_t threshold_ms, const char* report_base) noexcept {
+void configure(std::uint64_t threshold_ms) noexcept {
   wd_state& s = st();
   std::lock_guard<std::mutex> lk(s.mu);
   s.configured = true;
   s.threshold_ns = threshold_ms * 1'000'000u;
-  s.report_base = report_base == nullptr ? "aspen" : report_base;
   publish_mode_locked(s);
 }
 

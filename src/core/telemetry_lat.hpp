@@ -18,19 +18,20 @@
 // [2^i, 2^(i+1)), saturating at the top) plus an exact running max.
 // Buckets merge by bucket-wise add and the max by max — the same
 // sum/high-water split snapshot::merge_into applies to counters — so
-// histograms ride the live telemetry plane and the sidecar merge with the
-// bit-identity invariant intact.
+// histograms ride the live telemetry plane with its bit-identity invariant
+// intact.
 //
 // The watchdog (ASPEN_WATCHDOG_MS) piggybacks on progress: each check scans
 // this rank's oldest pending remote op, its own progress gap, and the
-// transport's sendq-drain age, and dumps a per-rank health report
-// ("<base>.rank<R>.health.json") when any exceeds the threshold — or on
-// SIGUSR1. With ASPEN_TELEMETRY compiled out both the histograms and the
-// watchdog compile to nothing (the types below remain so snapshots keep a
-// stable layout).
+// transport's sendq-drain age, and when any exceeds the threshold — or on
+// SIGUSR1 — writes the rank's flight-recorder dump
+// ("<base>.rank<R>.flight.json", otrace.hpp) with a "health" object ahead
+// of the ring's records. With ASPEN_TELEMETRY compiled out both the
+// histograms and the watchdog compile to nothing (the types below remain
+// so snapshots keep a stable layout).
 //
-// Deliberately dependency-free below <atomic>/<functional>/<string> so
-// telemetry.hpp can include it ahead of the record definition.
+// Deliberately dependency-free below <atomic>/<functional> so telemetry.hpp
+// can include it ahead of the record definition.
 #pragma once
 
 #include <array>
@@ -39,7 +40,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <string>
 
 #if !defined(ASPEN_TELEMETRY_ENABLED)
 #if defined(ASPEN_TELEMETRY) && ASPEN_TELEMETRY
@@ -214,14 +214,31 @@ inline std::atomic<wd_mode> g_wd_mode{wd_mode::unconfigured};
 }  // namespace detail
 #endif
 
+namespace live {
+
+/// Instantaneous transport gauges riding every live update frame
+/// (telemetry_live.hpp; latest value wins at the collector: they are
+/// point-in-time readings, not sums). Declared here so the watchdog's
+/// transport status can carry them.
+struct gauges {
+  std::uint64_t sendq_bytes = 0;       ///< queued unsent wire bytes, all peers
+                                       ///< (outbound shm ring bytes included)
+  std::uint64_t sendq_high_water = 0;  ///< endpoint sendq high-water (bytes)
+  std::uint64_t staged_msgs = 0;       ///< AMs staged awaiting in-order release
+  std::uint64_t lpc_mailbox_depth = 0; ///< current persona's mailbox backlog
+  std::uint64_t wd_state = 0;          ///< watchdog last-episode state:
+                                       ///< 0 healthy, 1 stalled, 2 recovered
+};
+
+}  // namespace live
+
 namespace watchdog {
 
-/// Point-in-time transport health supplied by the conduit::tcp endpoint
-/// (unset on the smp conduit).
+/// Point-in-time transport status, taken by the process conduits' endpoint
+/// in one walk over its peers (no probe on the smp conduit): the live
+/// plane's gauges plus the fields only a stall dump needs.
 struct transport_status {
-  bool valid = false;
-  std::uint64_t sendq_bytes = 0;
-  std::uint64_t staged_msgs = 0;
+  live::gauges live;
   /// Age of the oldest still-undrained send-queue busy episode (0 when
   /// every peer queue is drained).
   std::uint64_t oldest_sendq_age_ns = 0;
@@ -231,18 +248,20 @@ struct transport_status {
   /// points at a consumer that stopped pumping.
   std::uint64_t shm_ring_depth_bytes = 0;
   std::uint64_t shm_ring_high_water = 0;
-  /// Pre-rendered JSON fields for the health report (quiescence matrices).
-  std::string detail_json;
+  /// Quiescence matrix sums: counted frames this rank sent to and
+  /// delivered from every rank.
+  std::uint64_t frames_sent = 0;
+  std::uint64_t frames_delivered = 0;
 };
 
 using transport_probe = std::function<transport_status()>;
 
 #if ASPEN_TELEMETRY_ENABLED
 
-/// Explicit (re)configuration — overrides ASPEN_WATCHDOG_MS and the
-/// artifact_base() report base; threshold_ms == 0 disables. Used by tests;
-/// the environment is parsed lazily on first use otherwise.
-void configure(std::uint64_t threshold_ms, const char* report_base) noexcept;
+/// Explicit (re)configuration — overrides ASPEN_WATCHDOG_MS;
+/// threshold_ms == 0 disables. Used by tests; the environment is parsed
+/// lazily on first use otherwise. Dumps land under otrace::dump_base().
+void configure(std::uint64_t threshold_ms) noexcept;
 
 [[nodiscard]] bool enabled() noexcept;
 
@@ -256,7 +275,7 @@ void configure(std::uint64_t threshold_ms, const char* report_base) noexcept;
 [[nodiscard]] std::uint64_t threshold_ms() noexcept;
 
 /// Tag the calling thread with its rank (forwarded from
-/// telemetry::set_thread_rank); reports name this rank.
+/// telemetry::set_thread_rank); dumps name this rank.
 void set_thread_rank(int rank) noexcept;
 
 /// Register a pending remote operation; returns a nonzero handle while the
@@ -272,8 +291,8 @@ void note_progress(std::uint64_t now_ns) noexcept;
 /// As note_progress but reads the clock itself; hook for transport pumps.
 void poll_check() noexcept;
 
-/// Ask for an unconditional health report at the next check (the SIGUSR1
-/// handler body; also callable directly from tests).
+/// Ask for an unconditional dump at the next check (the SIGUSR1 handler
+/// body; also callable directly from tests).
 void request_report() noexcept;
 
 /// Install the SIGUSR1 handler (idempotent; done automatically the first
@@ -282,7 +301,7 @@ void install_signal_handler() noexcept;
 
 void set_transport_probe(transport_probe probe);
 
-/// Health reports written by this process so far (test observability).
+/// Dumps the watchdog wrote in this process so far (test observability).
 [[nodiscard]] int reports_written() noexcept;
 
 /// Last-episode state: 0 = healthy (no stall episode yet), 1 = a stall
@@ -292,7 +311,7 @@ void set_transport_probe(transport_probe probe);
 
 #else  // !ASPEN_TELEMETRY_ENABLED — the watchdog compiles out entirely.
 
-inline void configure(std::uint64_t, const char*) noexcept {}
+inline void configure(std::uint64_t) noexcept {}
 [[nodiscard]] inline bool enabled() noexcept { return false; }
 [[nodiscard]] inline std::uint64_t threshold_ms() noexcept { return 0; }
 inline void set_thread_rank(int) noexcept {}
@@ -307,9 +326,6 @@ inline void set_transport_probe(transport_probe) {}
 [[nodiscard]] inline int health_state() noexcept { return 0; }
 
 #endif
-
-/// The per-rank health report path: "<base>.rank<R>.health.json".
-[[nodiscard]] std::string report_path(const std::string& base, int rank);
 
 }  // namespace watchdog
 

@@ -2,26 +2,25 @@
 // multi-process (conduit::tcp) jobs.
 //
 // Under `aspen-run` every rank is its own process, so telemetry::aggregate()
-// only sees one rank and job-wide reporting historically meant per-rank
-// sidecar files merged post-hoc. This header gives counters a live path:
-// non-zero ranks periodically ship a sparse delta-encoded snapshot of their
-// process totals (plus instantaneous transport gauges) to rank 0 inside a
-// `telemetry` wire frame, and rank 0 folds them into a job-wide aggregate
-// queryable at any time via job_snapshot().
+// only sees one rank. This header is the one path by which counters leave
+// a process: non-zero ranks periodically ship a sparse delta-encoded
+// snapshot of their process totals (plus instantaneous transport gauges,
+// live::gauges in telemetry_lat.hpp) to rank 0 inside a `telemetry` wire
+// frame, and rank 0 folds them into a job-wide aggregate queryable at any
+// time via job_snapshot().
 //
 // Delta/merge semantics are chosen so the live aggregate is *bit-identical*
-// to the sidecar merge for the same run:
+// to telemetry::merge_into over every rank's frozen region-exit totals:
 //   - each rank's update carries aggregate() - <previously shipped>, so the
 //     sum of a rank's deltas is exactly its absolute process totals;
 //   - high-water fields are not differenced (snapshot::operator- keeps the
-//     minuend); they travel as absolutes and merge by max — the same rule
-//     bench::merge_snapshots applies (both delegate to
-//     telemetry::merge_into);
+//     minuend); they travel as absolutes and merge by max (the collector
+//     folds with telemetry::merge_into);
 //   - at region exit every rank flushes one final frame whose capture
 //     freezes its shipped total (shipped_total()); the frozen totals are
-//     what bit-identity tests/benches write into comparison sidecars, so
-//     counters ticked *after* the capture (e.g. the bytes of the final
-//     frame itself) stay out of the comparison on both paths.
+//     what bit-identity tests compare against, so counters ticked *after*
+//     the capture (e.g. the bytes of the final frame itself) stay out of
+//     the comparison on both sides.
 //
 // The plane is off by default and costs nothing when disabled: no frames
 // are emitted unless ASPEN_TELEMETRY_INTERVAL_MS is a positive integer
@@ -37,17 +36,6 @@
 #include "core/telemetry.hpp"
 
 namespace aspen::telemetry::live {
-
-/// Instantaneous transport gauges riding every update frame (latest value
-/// wins at the collector; they are point-in-time readings, not sums).
-struct gauges {
-  std::uint64_t sendq_bytes = 0;       ///< queued unsent wire bytes, all peers
-  std::uint64_t sendq_high_water = 0;  ///< endpoint sendq high-water (bytes)
-  std::uint64_t staged_msgs = 0;       ///< AMs staged awaiting in-order release
-  std::uint64_t lpc_mailbox_depth = 0; ///< current persona's mailbox backlog
-  std::uint64_t wd_state = 0;          ///< watchdog last-episode state:
-                                       ///< 0 healthy, 1 stalled, 2 recovered
-};
 
 /// Flat field space of the update codec: every counter, every
 /// progress-queue histogram bucket, the four scalar snapshot fields
@@ -100,8 +88,8 @@ void encode_update(const snapshot& delta, const gauges& g,
 [[nodiscard]] snapshot capture_total();
 
 /// The cumulative totals as of the last take_update_delta()/capture_total()
-/// — after the region-exit final flush, this rank's frozen final. Benches
-/// and tests write comparison sidecars from this, never from a fresh
+/// — after the region-exit final flush, this rank's frozen final. Tests
+/// compare the job aggregate against these, never against a fresh
 /// aggregate(), to keep the bit-identity contract.
 [[nodiscard]] snapshot shipped_total();
 

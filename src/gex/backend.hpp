@@ -60,13 +60,6 @@ struct rank_state {
   /// the progress engine (and thus poll()) on the same rank must not reuse
   /// the in-flight scratch buffer.
   bool draining = false;
-  /// Monotonic counters, readable cross-thread for diagnostics/tests.
-  /// ams_sent counts messages *initiated by* this rank; ams_received counts
-  /// messages *enqueued for* this rank; ams_executed counts messages this
-  /// rank's poll() has run. received >= executed at all times.
-  std::atomic<std::uint64_t> ams_sent{0};
-  std::atomic<std::uint64_t> ams_received{0};
-  std::atomic<std::uint64_t> ams_executed{0};
   /// The thread currently holding this rank's master persona (mirrored by
   /// aspen::persona; default-constructed id when unheld or when no persona
   /// runtime is wired, e.g. raw-substrate unit tests). Enforces the poll()
@@ -121,14 +114,9 @@ class runtime {
     return cfg_.locality.same_node(a, b);
   }
 
-  /// Enqueue an active message for `target`. Callable from any rank thread.
-  /// The send is attributed to the *initiating* rank (msg.source()); the
-  /// target only sees its ams_received tick. (ams_sent used to be bumped on
-  /// the target's state, which double-charged receivers and left senders
-  /// with a zero count.)
+  /// Enqueue an active message for `target`. Callable from any rank thread;
+  /// counted (telemetry am_sent) on the sending thread.
   void send_am(int target, am_message msg) {
-    const int src = msg.source();
-    state(src).ams_sent.fetch_add(1, std::memory_order_relaxed);
     telemetry::count(telemetry::counter::am_sent);
     // Single chokepoint where every conduit's AMs pass: stamp the sender's
     // ambient trace id so sampled ops propagate across handler hops, wire
@@ -138,12 +126,10 @@ class runtime {
       otrace::note_id(tid, otrace::stage::am_send);
     }
     if (wire_ && target != wire_->self_rank()) {
-      // Remote process: serialize onto the socket. The receiving process
-      // ticks its own ams_received when the frame is delivered.
+      // Remote process: serialize onto the socket.
       wire_->send_am(*this, target, std::move(msg));
       return;
     }
-    state(target).ams_received.fetch_add(1, std::memory_order_relaxed);
     if (perturb_) {
       perturb_->send(*this, target, std::move(msg));
       return;
@@ -155,7 +141,6 @@ class runtime {
   /// same queue in-process sends use, so poll() semantics are identical).
   /// Called by the wire transport's pump from the master-holder thread.
   void deliver_from_wire(int me, am_message msg) {
-    state(me).ams_received.fetch_add(1, std::memory_order_relaxed);
     state(me).inbox.push(std::move(msg));
   }
 
@@ -188,7 +173,7 @@ class runtime {
     // are already in the inbox when the drain below runs (one poll() turns
     // a received request into an executed handler, matching the in-process
     // conduits' single-call latency). Pumped frames count toward the
-    // returned work total but not toward ams_executed (only handler runs
+    // returned work total but not toward am_executed (only handler runs
     // do).
     std::size_t pumped = 0;
     if (wire_ && me == wire_->self_rank()) pumped = wire_->pump(*this);
@@ -216,10 +201,7 @@ class runtime {
       n = nested.size();
       for (auto& msg : nested) msg.execute(*this, me);
     }
-    if (n != 0) {
-      st.ams_executed.fetch_add(n, std::memory_order_relaxed);
-      telemetry::count(telemetry::counter::am_executed, n);
-    }
+    if (n != 0) telemetry::count(telemetry::counter::am_executed, n);
     return pumped + n;
   }
 

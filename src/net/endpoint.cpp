@@ -161,42 +161,8 @@ endpoint::endpoint(int rank, int nranks, gex::net_config cfg,
   otrace::install_crash_handlers();
   if (telemetry::watchdog::enabled()) {
     telemetry::watchdog::install_signal_handler();
-    telemetry::watchdog::set_transport_probe([this] {
-      telemetry::watchdog::transport_status st;
-      st.valid = true;
-      const std::uint64_t now = mono_ns();
-      std::uint64_t frames_sent = 0;
-      std::uint64_t frames_delivered = 0;
-      for (int r = 0; r < nranks_; ++r) {
-        frames_sent +=
-            sent_to_[static_cast<std::size_t>(r)].load(
-                std::memory_order_relaxed);
-        frames_delivered +=
-            delivered_from_[static_cast<std::size_t>(r)].load(
-                std::memory_order_relaxed);
-        if (r == rank_) continue;
-        const peer& p = *peers_[static_cast<std::size_t>(r)];
-        std::lock_guard<std::mutex> lk(p.mu);
-        st.sendq_bytes += p.out.size() - p.out_off + p.batch.size();
-        st.staged_msgs += p.staged.size();
-        if (p.out_busy_since_ns != 0 && now > p.out_busy_since_ns) {
-          const std::uint64_t age = now - p.out_busy_since_ns;
-          if (age > st.oldest_sendq_age_ns) st.oldest_sendq_age_ns = age;
-        }
-        if (p.shm_active) {
-          st.shm_ring_depth_bytes += p.shm_out_msg.depth_bytes() +
-                                     p.shm_out_bulk.depth_bytes() +
-                                     p.shm_in_msg.depth_bytes() +
-                                     p.shm_in_bulk.depth_bytes();
-        }
-      }
-      st.shm_ring_high_water = shm_ring_high_water();
-      st.detail_json = "\"quiescence\": {\"frames_sent\": " +
-                       std::to_string(frames_sent) +
-                       ", \"frames_delivered\": " +
-                       std::to_string(frames_delivered) + "}";
-      return st;
-    });
+    telemetry::watchdog::set_transport_probe(
+        [this] { return transport_gauges(); });
   }
 }
 
@@ -1174,8 +1140,8 @@ void endpoint::end_region(const progress_fn& progress) {
   // as a Perfetto fragment; bench::merge_rank_otraces (or `cat` plus a
   // JSON array wrapper) joins them into one cross-rank timeline.
   if (otrace::enabled()) {
-    (void)otrace::export_json(otrace::dump_path(otrace::dump_base(), rank_),
-                              rank_);
+    (void)otrace::export_json(
+        otrace::export_path(otrace::dump_base(), rank_), rank_);
     otrace::clear();
   }
 }
@@ -1184,23 +1150,36 @@ void endpoint::end_region(const progress_fn& progress) {
 // Live telemetry plane
 // ---------------------------------------------------------------------------
 
-telemetry::live::gauges endpoint::live_gauges() const {
-  telemetry::live::gauges g;
+telemetry::watchdog::transport_status endpoint::transport_gauges() const {
+  telemetry::watchdog::transport_status st;
+  telemetry::live::gauges& g = st.live;
+  const std::uint64_t now = mono_ns();
   for (int r = 0; r < nranks_; ++r) {
+    const auto i = static_cast<std::size_t>(r);
+    st.frames_sent += sent_to_[i].load(std::memory_order_relaxed);
+    st.frames_delivered += delivered_from_[i].load(std::memory_order_relaxed);
     if (r == rank_) continue;
-    const peer& p = *peers_[static_cast<std::size_t>(r)];
+    const peer& p = *peers_[i];
     std::lock_guard<std::mutex> lk(p.mu);
     g.sendq_bytes += p.out.size() - p.out_off + p.batch.size();
-    if (p.shm_active)
-      g.sendq_bytes +=
-          p.shm_out_msg.depth_bytes() + p.shm_out_bulk.depth_bytes();
     g.staged_msgs += p.staged.size();
+    if (p.out_busy_since_ns != 0 && now > p.out_busy_since_ns)
+      st.oldest_sendq_age_ns =
+          std::max(st.oldest_sendq_age_ns, now - p.out_busy_since_ns);
+    if (p.shm_active) {
+      const std::uint64_t out_bytes =
+          p.shm_out_msg.depth_bytes() + p.shm_out_bulk.depth_bytes();
+      g.sendq_bytes += out_bytes;
+      st.shm_ring_depth_bytes += out_bytes + p.shm_in_msg.depth_bytes() +
+                                 p.shm_in_bulk.depth_bytes();
+    }
   }
   g.sendq_high_water = sendq_high_water_.load(std::memory_order_relaxed);
   g.lpc_mailbox_depth = current_persona().mailbox_depth();
   g.wd_state =
       static_cast<std::uint64_t>(telemetry::watchdog::health_state());
-  return g;
+  st.shm_ring_high_water = shm_ring_high_water();
+  return st;
 }
 
 void endpoint::maybe_push_telemetry(bool final_flush) {
@@ -1219,7 +1198,7 @@ void endpoint::maybe_push_telemetry(bool final_flush) {
   // flush's own byte counters, say) lands in the next delta — or, on the
   // final flush, stays frozen out of both comparison paths identically.
   telemetry::count(telemetry::counter::net_telemetry_sent);
-  const telemetry::live::gauges g = live_gauges();
+  const telemetry::live::gauges g = transport_gauges().live;
   const telemetry::snapshot d = telemetry::live::take_update_delta();
   std::vector<std::byte> body;
   telemetry::live::encode_update(d, g, body);
@@ -1256,7 +1235,7 @@ void endpoint::finish_region_telemetry(const progress_fn& progress) {
   }
   telemetry::live::collector_begin_epoch();
   telemetry::live::collector_note_local(telemetry::live::capture_total(),
-                                        live_gauges());
+                                        transport_gauges().live);
 }
 
 }  // namespace aspen::net

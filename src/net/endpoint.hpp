@@ -110,8 +110,10 @@ class endpoint final : public gex::wire_transport,
            peers_[static_cast<std::size_t>(target)]->shm_active;
   }
 
-  /// Instantaneous transport gauges for the live-telemetry plane.
-  [[nodiscard]] telemetry::live::gauges live_gauges() const;
+  /// Instantaneous transport status in one walk over the peers: the live
+  /// plane's gauges (`.live`) plus what only the watchdog's stall dump
+  /// reports.
+  [[nodiscard]] telemetry::watchdog::transport_status transport_gauges() const;
 
   /// Estimated steady-clock offset of this rank versus rank 0
   /// (local - rank0, nanoseconds), measured by the bootstrap's RTT-midpoint

@@ -28,21 +28,22 @@ TEST(BarrierAsync, SingleRankIsImmediatelyReady) {
 }
 
 TEST(BarrierAsync, NotReadyUntilAllArrive) {
+  // Set by rank 0's rpc_ff, which runs on rank 1's thread.
+  static bool released;
+  released = false;
   aspen::spmd(2, [] {
     if (rank_me() == 0) {
       future<> f = barrier_async();
       // Rank 1 waits on a flag before arriving, so f cannot be ready yet.
       EXPECT_FALSE(f.ready());
       // Release rank 1.
-      rpc_ff(1, [] {});
+      rpc_ff(1, [] { released = true; });
       f.wait();
       EXPECT_TRUE(f.ready());
     } else {
       // Hold until rank 0 has checked non-readiness (its rpc_ff is the
       // release signal: it can only arrive after the check).
-      const auto before = detail::ctx().rt->state(1).ams_executed.load();
-      while (detail::ctx().rt->state(1).ams_executed.load() == before)
-        progress();
+      while (!released) progress();
       barrier_async().wait();
     }
   });

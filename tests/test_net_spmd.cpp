@@ -340,12 +340,13 @@ bool snap_eq(const aspen::telemetry::snapshot& a,
          a.lat == b.lat;
 }
 
-// The tentpole acceptance test: with ASPEN_TELEMETRY_INTERVAL_MS set (the
-// net_spmd_live_n* ctest entries), rank 0's in-memory job aggregate must be
-// bit-identical to what a post-hoc sidecar merge of every rank's frozen
-// region-exit totals produces. Without the interval, asserts the plane is
-// fully dormant (zero telemetry frames on the wire).
-TEST(NetSpmd, LiveAggregationMatchesSidecarMerge) {
+// With ASPEN_TELEMETRY_INTERVAL_MS set (the net_spmd_live_n* ctest
+// entries), rank 0's in-memory job aggregate must be bit-identical to
+// telemetry::merge_into over every rank's frozen region-exit totals,
+// gathered through a dist_object (plain serialization, not the live codec
+// under test). Without the interval, asserts the plane is fully dormant
+// (zero telemetry frames on the wire).
+TEST(NetSpmd, LiveAggregationMatchesGatheredTotals) {
   ASPEN_REQUIRE_LAUNCHED();
   const int n = job_size();
   namespace live = aspen::telemetry::live;
@@ -367,8 +368,6 @@ TEST(NetSpmd, LiveAggregationMatchesSidecarMerge) {
                     "(ctest net_spmd_live_n*)";
   }
 
-  const std::string base =
-      "/tmp/aspen_live_cmp." + std::to_string(::getppid());
   const aspen::telemetry::snapshot js_before = live::job_snapshot();
 
   aspen::spmd(n, tcp_cfg(), [n] {
@@ -400,22 +399,26 @@ TEST(NetSpmd, LiveAggregationMatchesSidecarMerge) {
   });
 
   // The region exit froze every rank's shipped totals and rank 0's
-  // collector. Capture both sides of the comparison *now*: the barrier
+  // collector. Capture both sides of the comparison *now*: the gathering
   // region below ships fresh finals of its own.
-  const int rank = aspen::net::endpoint::instance()->self_rank();
-  ASSERT_TRUE(aspen::bench::write_telemetry_sidecar(
-      aspen::bench::rank_sidecar_path(base, rank), "live_cmp",
-      live::shipped_total()));
+  const aspen::telemetry::snapshot frozen = live::shipped_total();
   const aspen::telemetry::snapshot js = live::job_snapshot();
 
-  aspen::spmd(n, tcp_cfg(), [] { aspen::barrier(); });  // sidecars on disk
+  aspen::telemetry::snapshot gathered{};
+  aspen::spmd(n, tcp_cfg(), [n, &frozen, &gathered] {
+    aspen::dist_object<aspen::telemetry::snapshot> mine(frozen);
+    aspen::barrier();
+    if (aspen::rank_me() == 0)
+      for (int r = 0; r < n; ++r)
+        aspen::telemetry::merge_into(gathered, mine.fetch(r).wait());
+    aspen::barrier();  // every instance outlives rank 0's fetches
+  });
 
+  const int rank = aspen::net::endpoint::instance()->self_rank();
   if (rank == 0) {
-    aspen::telemetry::snapshot merged{};
-    EXPECT_EQ(aspen::bench::merge_rank_sidecars(base, n, &merged), n);
-    EXPECT_TRUE(snap_eq(js, merged))
-        << "live aggregate:\n  " << js.to_json() << "\nsidecar merge:\n  "
-        << merged.to_json();
+    EXPECT_TRUE(snap_eq(js, gathered))
+        << "live aggregate:\n  " << js.to_json()
+        << "\ngathered totals:\n  " << gathered.to_json();
     if (aspen::telemetry::compiled_in()) {
       EXPECT_GT(live::rank_updates(n - 1), 0u);
       // The paper's invariant holds job-wide in the live aggregate: no
@@ -428,9 +431,6 @@ TEST(NetSpmd, LiveAggregationMatchesSidecarMerge) {
       EXPECT_GT(js.get(c::net_telemetry_sent), 0u);
     }
   }
-
-  aspen::spmd(n, tcp_cfg(), [] { aspen::barrier(); });  // rank 0 done
-  (void)std::remove(aspen::bench::rank_sidecar_path(base, rank).c_str());
 }
 
 // The paper's latency claim, observed live at the job level: self-targeted
@@ -717,11 +717,11 @@ TEST(OtraceSpmd, RegionExportMergesIntoOneFlowBoundTimeline) {
   {
     // Rank clocks were probed at bootstrap: every rank's export says so,
     // which is what puts the merged timeline on rank 0's clock.
-    std::ifstream own(otrace::dump_path(base, rank));
+    std::ifstream own(otrace::export_path(base, rank));
     std::ostringstream oss;
     oss << own.rdbuf();
     EXPECT_NE(oss.str().find("\"clock_synced\":true"), std::string::npos)
-        << otrace::dump_path(base, rank);
+        << otrace::export_path(base, rank);
   }
   aspen::spmd(n, otrace_cfg(), [] { aspen::barrier(); });  // exports on disk
 
@@ -768,10 +768,20 @@ TEST(OtraceSpmd, RegionExportMergesIntoOneFlowBoundTimeline) {
     (void)std::remove(out.c_str());
   }
   aspen::spmd(n, otrace_cfg(), [] { aspen::barrier(); });  // rank 0 done
-  (void)std::remove(otrace::dump_path(base, rank).c_str());
+  (void)std::remove(otrace::export_path(base, rank).c_str());
 }
 
-TEST(OtraceSpmd, Sigusr2DumpsTheFlightRecorder) {
+std::string slurp(const std::string& path) {
+  std::ifstream f(path);
+  std::ostringstream ss;
+  ss << f.rdbuf();
+  return ss.str();
+}
+
+// An operator's SIGUSR2 mid-region dumps the flight recorder, and the
+// region-exit export lands in its own file: the dump taken mid-region is
+// still there afterwards, next to the export.
+TEST(OtraceSpmd, Sigusr2DumpSurvivesRegionExport) {
   ASPEN_REQUIRE_LAUNCHED();
   const int n = job_size();
   if (!aspen::telemetry::compiled_in()) {
@@ -793,18 +803,24 @@ TEST(OtraceSpmd, Sigusr2DumpsTheFlightRecorder) {
       // The operator's probe: signal the process mid-run; the handler
       // dumps the ring and execution continues unharmed.
       ::raise(SIGUSR2);
-      const std::string path =
-          otrace::dump_path(otrace::dump_base(), aspen::rank_me());
-      std::ifstream f(path);
-      std::ostringstream ss;
-      ss << f.rdbuf();
-      EXPECT_NE(ss.str().find("\"records\""), std::string::npos)
-          << path << " missing or empty after SIGUSR2";
-      EXPECT_NE(ss.str().find("\"inject\""), std::string::npos);
-      (void)std::remove(path.c_str());
       aspen::barrier();
-    });
+    });  // region exit exported the same ring on every rank
   }
+  const int rank = aspen::net::endpoint::instance()->self_rank();
+  const std::string dump = slurp(otrace::dump_path(base, rank));
+  EXPECT_NE(dump.find("\"otrace_dump\":true"), std::string::npos)
+      << otrace::dump_path(base, rank) << " lost its SIGUSR2 dump:\n"
+      << dump.substr(0, 200);
+  EXPECT_NE(dump.find("\"records\""), std::string::npos);
+  EXPECT_NE(dump.find("\"inject\""), std::string::npos);
+  EXPECT_EQ(dump.find("\"health\""), std::string::npos)
+      << "a signal dump carries no watchdog health object";
+  const std::string exported = slurp(otrace::export_path(base, rank));
+  EXPECT_NE(exported.find("\"traceEvents\""), std::string::npos)
+      << otrace::export_path(base, rank) << " holds no region-exit export";
+  EXPECT_EQ(exported.find("\"otrace_dump\""), std::string::npos);
+  (void)std::remove(otrace::dump_path(base, rank).c_str());
+  (void)std::remove(otrace::export_path(base, rank).c_str());
 }
 
 // ---------------------------------------------------------------------------

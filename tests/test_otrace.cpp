@@ -41,9 +41,12 @@ void arm(std::uint32_t sample_n, const char* base = "otrace_test") {
   otrace::clear();
 }
 
-TEST(Otrace, DumpPathShape) {
-  EXPECT_EQ(otrace::dump_path("aspen", 0), "aspen.rank0.otrace.json");
-  EXPECT_EQ(otrace::dump_path("out/run7", 12), "out/run7.rank12.otrace.json");
+TEST(Otrace, DumpAndExportPathShapes) {
+  EXPECT_EQ(otrace::dump_path("aspen", 0), "aspen.rank0.flight.json");
+  EXPECT_EQ(otrace::dump_path("out/run7", 12), "out/run7.rank12.flight.json");
+  EXPECT_EQ(otrace::export_path("aspen", 0), "aspen.rank0.otrace.json");
+  EXPECT_EQ(otrace::export_path("out/run7", 12),
+            "out/run7.rank12.otrace.json");
 }
 
 TEST(Otrace, TraceIdCarriesRankAndMonotoneSeq) {
@@ -196,14 +199,40 @@ TEST(Otrace, SignalSafeDumpWritesTheRing) {
   arm(1, "otrace_dump_test");
   otrace::note_id(0x77, otrace::stage::inject, 9);
   otrace::note_id(0x77, otrace::stage::fulfill_eager);
-  otrace::dump_now();
+  otrace::dump_signal_safe();
   const std::string path = otrace::dump_path("otrace_dump_test", 3);
   const std::string text = slurp(path);
   ASSERT_FALSE(text.empty()) << path << " was not written";
+  EXPECT_NE(text.find("\"otrace_dump\":true"), std::string::npos);
   EXPECT_NE(text.find("\"inject\""), std::string::npos);
   EXPECT_NE(text.find("\"fulfill_eager\""), std::string::npos);
   EXPECT_NE(text.find("0x77"), std::string::npos);
+  EXPECT_EQ(text.find("\"health\""), std::string::npos);
   std::remove(path.c_str());
+}
+
+TEST(Otrace, HealthDumpPrecedesTheRing) {
+  arm(1, "otrace_health_test");
+  otrace::note_id(0x78, otrace::stage::inject);
+  const std::string path = otrace::dump_now(5, "{\"reason\":\"probe\"}");
+  EXPECT_EQ(path, otrace::dump_path("otrace_health_test", 5));
+  const std::string text = slurp(path);
+  std::remove(path.c_str());
+  EXPECT_EQ(text.find("{\"otrace_dump\":true,\"rank\":5,"
+                      "\"health\":{\"reason\":\"probe\"},"),
+            0u)
+      << text;
+  const auto health = text.find("\"health\"");
+  const auto records = text.find("\"records\"");
+  ASSERT_NE(records, std::string::npos);
+  EXPECT_LT(health, records);
+  EXPECT_NE(text.find("\"inject\"", records), std::string::npos);
+  // A health object longer than the writer's buffer is written through.
+  const std::string big = "{\"pad\":\"" + std::string(3000, 'x') + "\"}";
+  const std::string path2 = otrace::dump_now(5, big);
+  const std::string text2 = slurp(path2);
+  std::remove(path2.c_str());
+  EXPECT_NE(text2.find(big + ",\"records_appended\""), std::string::npos);
 }
 
 TEST(Otrace, ExportPairsFlowEventsAcrossTheWireEdge) {
@@ -214,7 +243,7 @@ TEST(Otrace, ExportPairsFlowEventsAcrossTheWireEdge) {
   otrace::note_id(id, otrace::stage::wire_eager, edge);
   otrace::note_id(id, otrace::stage::wire_deliver, edge);
   otrace::note_id(id, otrace::stage::handler_run);
-  const std::string path = otrace::dump_path("otrace_export_test", 3);
+  const std::string path = otrace::export_path("otrace_export_test", 3);
   ASSERT_TRUE(otrace::export_json(path, 3));
   const std::string text = slurp(path);
   std::remove(path.c_str());
@@ -246,7 +275,7 @@ TEST(Otrace, RendezvousStagesSaltTheirFlowIds) {
   otrace::note_id(id, otrace::stage::wire_data, fid);
   otrace::note_id(id, otrace::stage::wire_deliver,
                   fid ^ otrace::kEdgeSaltData);
-  const std::string path = otrace::dump_path("otrace_rdzv_export", 3);
+  const std::string path = otrace::export_path("otrace_rdzv_export", 3);
   ASSERT_TRUE(otrace::export_json(path, 3));
   const std::string text = slurp(path);
   std::remove(path.c_str());
@@ -352,9 +381,10 @@ TEST(OtraceOff, EverythingCompilesToNothing) {
   EXPECT_EQ(otrace::records_appended(), 0u);
   EXPECT_TRUE(otrace::snapshot_records().empty());
   EXPECT_FALSE(otrace::export_json("never_written.json", 0));
-  // The unconditional helpers still work (crash-dump paths are compiled
-  // in either way for the docs' sake).
-  EXPECT_EQ(otrace::dump_path("aspen", 1), "aspen.rank1.otrace.json");
+  // The unconditional helpers still work (dump and export paths are
+  // compiled in either way for the docs' sake).
+  EXPECT_EQ(otrace::dump_path("aspen", 1), "aspen.rank1.flight.json");
+  EXPECT_EQ(otrace::export_path("aspen", 1), "aspen.rank1.otrace.json");
 }
 
 #endif  // ASPEN_TELEMETRY_ENABLED

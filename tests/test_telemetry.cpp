@@ -321,10 +321,10 @@ TEST(TelemetryOff, JsonReportsDisabled) {
 #endif
 
 // Counter-name hygiene holds in both build flavors: every enum value has a
-// distinct, non-empty snake_case name (the sidecar reader matches counters
-// by name, so a collision or rename silently drops data on merge). The
-// same predicate is enforced at compile time in telemetry.cpp; this keeps
-// the diagnostic readable when a new counter breaks it.
+// distinct, non-empty snake_case name (the JSON reports key counters by
+// name, so a collision would alias two of them). The same predicate is
+// enforced at compile time in telemetry.cpp; this keeps the diagnostic
+// readable when a new counter breaks it.
 TEST(Telemetry, CounterNamesAreUniqueNonEmptySnakeCase) {
   for (std::size_t i = 0; i < telemetry::kCounterCount; ++i) {
     const char* name = telemetry::to_string(static_cast<telemetry::counter>(i));
@@ -339,6 +339,63 @@ TEST(Telemetry, CounterNamesAreUniqueNonEmptySnakeCase) {
                    telemetry::to_string(static_cast<telemetry::counter>(j)))
           << "duplicate counter name at indices " << i << " and " << j;
   }
+}
+
+telemetry::snapshot merge_part(std::uint64_t base) {
+  using telemetry::counter;
+  using telemetry::lat_stream;
+  telemetry::snapshot s{};
+  s.counters[static_cast<std::size_t>(counter::am_sent)] = base + 1;
+  s.counters[static_cast<std::size_t>(counter::cx_eager_taken)] = base + 2;
+  s.counters[static_cast<std::size_t>(counter::net_msgs_sent)] = base + 3;
+  s.counters[static_cast<std::size_t>(counter::net_bytes_received)] =
+      base * 1000;
+  s.pq_high_water = base;
+  s.pq_reserve_growths = base;
+  s.pq_total_fired = 10 * base;
+  s.lpc_mailbox_high_water = 100 - base;
+  s.pq_fire_hist[0] = base;
+  s.pq_fire_hist[3] = 2 * base;
+  auto& amo_e = s.lat[static_cast<std::size_t>(lat_stream::amo_eager)];
+  amo_e.buckets[7] = base + 5;
+  amo_e.buckets[63] = base;  // the saturating top bucket
+  amo_e.max_ns = 1000 * base;
+  auto& wire = s.lat[static_cast<std::size_t>(lat_stream::wire_delivery)];
+  wire.buckets[12] = 3 * base;
+  wire.max_ns = 77 + base;
+  return s;
+}
+
+// The cross-rank merge the live collector folds every rank's updates with,
+// pinned field by field: counters, the fire histogram, the progress-queue
+// sums and latency buckets add; high-water marks and latency max_ns take
+// the max. Plain arithmetic on the snapshot value type, so it holds in
+// both build flavours.
+TEST(TelemetryMerge, MergeSumsCountersAndMaxesHighWaters) {
+  using telemetry::counter;
+  using telemetry::lat_stream;
+  telemetry::snapshot m{};
+  telemetry::merge_into(m, merge_part(3));
+  telemetry::merge_into(m, merge_part(40));
+  EXPECT_EQ(m.get(counter::am_sent), (3u + 1u) + (40u + 1u));
+  EXPECT_EQ(m.get(counter::cx_eager_taken), (3u + 2u) + (40u + 2u));
+  EXPECT_EQ(m.get(counter::net_msgs_sent), (3u + 3u) + (40u + 3u));
+  EXPECT_EQ(m.get(counter::net_bytes_received), 43'000u);
+  EXPECT_EQ(m.pq_total_fired, 30u + 400u);
+  EXPECT_EQ(m.pq_reserve_growths, 43u);
+  EXPECT_EQ(m.pq_fire_hist[0], 43u);
+  EXPECT_EQ(m.pq_fire_hist[3], 2u * 43u);
+  // High-water marks are per-process maxima, not sums.
+  EXPECT_EQ(m.pq_high_water, 40u);
+  EXPECT_EQ(m.lpc_mailbox_high_water, 97u);
+  // Latency histograms: buckets add, max_ns maxes.
+  const auto& amo_e = m.lat_of(lat_stream::amo_eager);
+  EXPECT_EQ(amo_e.buckets[7], (3u + 5u) + (40u + 5u));
+  EXPECT_EQ(amo_e.buckets[63], 43u);
+  EXPECT_EQ(amo_e.max_ns, 40'000u);
+  const auto& wire = m.lat_of(lat_stream::wire_delivery);
+  EXPECT_EQ(wire.buckets[12], 3u * 43u);
+  EXPECT_EQ(wire.max_ns, 117u);
 }
 
 }  // namespace

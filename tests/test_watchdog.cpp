@@ -1,8 +1,10 @@
-// Stall watchdog (telemetry_lat.hpp): report naming, trip/no-trip behavior
-// on a stalled pending op, the SIGUSR1 forced-report path, and — under
-// aspen-run with ASPEN_WATCHDOG_MS set (ctest net_spmd_watchdog_*) — a
-// cross-process leg where one rank stops progressing and the waiting rank's
-// watchdog must name itself in a health report.
+// Stall watchdog (telemetry_lat.hpp): trip/no-trip behavior on a stalled
+// pending op, the SIGUSR1 forced-dump path, and — under aspen-run with
+// ASPEN_WATCHDOG_MS set (ctest net_spmd_watchdog_*) — a cross-process leg
+// where one rank stops progressing and the waiting rank's watchdog must
+// name itself in its flight-recorder dump. A trip writes one file per
+// rank, otrace::dump_path(base, rank): a "health" object ahead of the
+// ring's records (empty here: sampling stays off).
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -17,10 +19,12 @@
 #include <vector>
 
 #include "core/aspen.hpp"
+#include "core/otrace.hpp"
 #include "core/telemetry.hpp"
 #include "net/endpoint.hpp"
 
 namespace wd = aspen::telemetry::watchdog;
+namespace otrace = aspen::otrace;
 
 namespace {
 
@@ -35,30 +39,27 @@ void sleep_ms(unsigned ms) {
   std::this_thread::sleep_for(std::chrono::milliseconds(ms));
 }
 
-/// Per-test report base under the gtest temp dir; each test cleans up the
-/// rank-0 report it may have produced.
-struct report_base {
+/// Per-test dump base under the gtest temp dir (named through otrace, whose
+/// base the watchdog's dumps share); each test cleans up the rank-0 dump
+/// it may have produced.
+struct dump_file {
   std::string base;
-  explicit report_base(const char* tag)
+  explicit dump_file(const char* tag)
       : base(::testing::TempDir() + "aspen_wd_" + tag) {
-    std::remove(wd::report_path(base, 0).c_str());
+    otrace::configure(/*sample_n=*/0, /*ring_bytes=*/1 << 16, base.c_str());
+    std::remove(rank0().c_str());
   }
-  ~report_base() { std::remove(wd::report_path(base, 0).c_str()); }
-  [[nodiscard]] std::string rank0() const { return wd::report_path(base, 0); }
+  ~dump_file() { std::remove(rank0().c_str()); }
+  [[nodiscard]] std::string rank0() const { return otrace::dump_path(base, 0); }
 };
-
-TEST(Watchdog, ReportPathNaming) {
-  EXPECT_EQ(wd::report_path("out/job", 3), "out/job.rank3.health.json");
-  EXPECT_EQ(wd::report_path("aspen", 0), "aspen.rank0.health.json");
-}
 
 TEST(Watchdog, ConfigureEnablesAndZeroDisables) {
   if (!aspen::telemetry::compiled_in())
     GTEST_SKIP() << "telemetry compiled out";
-  wd::configure(250, "wdtest");
+  wd::configure(250);
   EXPECT_TRUE(wd::enabled());
   EXPECT_EQ(wd::threshold_ms(), 250u);
-  wd::configure(0, nullptr);
+  wd::configure(0);
   EXPECT_FALSE(wd::enabled());
   EXPECT_EQ(wd::threshold_ms(), 0u);
   EXPECT_EQ(wd::track_op(aspen::telemetry::op_class::amo), 0u)
@@ -68,8 +69,8 @@ TEST(Watchdog, ConfigureEnablesAndZeroDisables) {
 TEST(Watchdog, TripsOnStalledPendingOp) {
   if (!aspen::telemetry::compiled_in())
     GTEST_SKIP() << "telemetry compiled out";
-  report_base rb("trip");
-  wd::configure(50, rb.base.c_str());
+  dump_file df("trip");
+  wd::configure(50);
   const int before = wd::reports_written();
 
   const std::uint64_t id = wd::track_op(aspen::telemetry::op_class::rma_put);
@@ -78,27 +79,30 @@ TEST(Watchdog, TripsOnStalledPendingOp) {
   wd::poll_check();
 
   EXPECT_EQ(wd::reports_written(), before + 1);
-  const std::string body = slurp(rb.rank0());
-  EXPECT_NE(body.find("\"reason\": \"oldest_op\""), std::string::npos)
+  const std::string body = slurp(df.rank0());
+  EXPECT_NE(body.find("\"rank\":0,\"health\":{\"reason\":\"oldest_op\""),
+            std::string::npos)
       << body;
-  EXPECT_NE(body.find("\"oldest_op_class\": \"rma_put\""), std::string::npos)
+  EXPECT_NE(body.find("\"oldest_op_class\":\"rma_put\""), std::string::npos)
       << body;
-  EXPECT_NE(body.find("\"pending_ops\": 1"), std::string::npos) << body;
+  EXPECT_NE(body.find("\"pending_ops\":1,"), std::string::npos) << body;
+  // Written with sampling off: the ring's records follow, empty.
+  EXPECT_NE(body.find("\"records\":[\n]}"), std::string::npos) << body;
 
-  // One report per stall episode: the same stall must not spam.
+  // One dump per stall episode: the same stall must not spam.
   sleep_ms(60);
   wd::poll_check();
   EXPECT_EQ(wd::reports_written(), before + 1);
 
   wd::complete_op(id);
-  wd::configure(0, nullptr);
+  wd::configure(0);
 }
 
 TEST(Watchdog, CleanRunWritesNothing) {
   if (!aspen::telemetry::compiled_in())
     GTEST_SKIP() << "telemetry compiled out";
-  report_base rb("clean");
-  wd::configure(10'000, rb.base.c_str());
+  dump_file df("clean");
+  wd::configure(10'000);
   const int before = wd::reports_written();
 
   const std::uint64_t id = wd::track_op(aspen::telemetry::op_class::amo);
@@ -107,27 +111,29 @@ TEST(Watchdog, CleanRunWritesNothing) {
   wd::poll_check();
 
   EXPECT_EQ(wd::reports_written(), before);
-  EXPECT_NE(::access(rb.rank0().c_str(), F_OK), 0)
-      << "health report written on a healthy run";
-  wd::configure(0, nullptr);
+  EXPECT_NE(::access(df.rank0().c_str(), F_OK), 0)
+      << "stall dump written on a healthy run";
+  wd::configure(0);
 }
 
 TEST(Watchdog, RequestReportForcesHealthyDump) {
   if (!aspen::telemetry::compiled_in())
     GTEST_SKIP() << "telemetry compiled out";
-  report_base rb("forced");
-  wd::configure(60'000, rb.base.c_str());
+  dump_file df("forced");
+  wd::configure(60'000);
   const int before = wd::reports_written();
 
-  // Nothing is stalled, but a report was requested (the SIGUSR1 handler
-  // body calls exactly this), so the next check must dump unconditionally.
+  // Nothing is stalled, but a dump was requested (the SIGUSR1 handler body
+  // calls exactly this), so the next check must dump unconditionally.
   wd::request_report();
   wd::poll_check();
 
   EXPECT_EQ(wd::reports_written(), before + 1);
-  const std::string body = slurp(rb.rank0());
-  EXPECT_NE(body.find("\"reason\": \"sigusr1\""), std::string::npos) << body;
-  wd::configure(0, nullptr);
+  const std::string body = slurp(df.rank0());
+  EXPECT_NE(body.find("\"health\":{\"reason\":\"sigusr1\""),
+            std::string::npos)
+      << body;
+  wd::configure(0);
 }
 
 // ---------------------------------------------------------------------------
@@ -149,8 +155,6 @@ TEST(WatchdogTcp, StallTripsAndCleanDoesNot) {
     GTEST_SKIP() << "not under aspen-run (see ctest net_spmd_watchdog_*)";
   const unsigned long wd_ms = env_ms("ASPEN_WATCHDOG_MS");
   const unsigned long stall_ms = env_ms("ASPEN_TEST_STALL_MS");
-  const char* rb = std::getenv("ASPEN_TELEMETRY_TRACE");
-  const std::string base = rb != nullptr && *rb != '\0' ? rb : "aspen";
   const bool expect_trip = stall_ms > wd_ms;
   // With telemetry compiled out (or the threshold unset) the region still
   // runs — under aspen-run every rank must reach the spmd bootstrap — and
@@ -158,8 +162,11 @@ TEST(WatchdogTcp, StallTripsAndCleanDoesNot) {
   const bool armed = aspen::telemetry::compiled_in() && wd_ms != 0;
 
   // Deterministic config (the same values the environment carries): the
-  // smp tests above may have left the watchdog disabled in this process.
-  if (armed) wd::configure(wd_ms, base.c_str());
+  // smp tests above may have left the watchdog disabled and the dump base
+  // pointed elsewhere in this process.
+  const std::string base = aspen::telemetry::artifact_base();
+  otrace::configure(/*sample_n=*/0, /*ring_bytes=*/1 << 16, base.c_str());
+  if (armed) wd::configure(wd_ms);
   const int before = wd::reports_written();
 
   const char* nr = std::getenv(aspen::net::kEnvNranks);
@@ -196,22 +203,27 @@ TEST(WatchdogTcp, StallTripsAndCleanDoesNot) {
   if (!armed)
     GTEST_SKIP() << "watchdog not armed in this build/configuration "
                     "(needs ASPEN_TELEMETRY=ON and ASPEN_WATCHDOG_MS)";
-  const std::string report = wd::report_path(base, 0);
+  const std::string dump = otrace::dump_path(base, 0);
   if (rank == 0) {
     if (expect_trip) {
       EXPECT_GT(wd::reports_written(), before)
           << "stalled op never tripped the watchdog";
-      const std::string body = slurp(report);
-      EXPECT_NE(body.find("\"rank\": 0"), std::string::npos) << body;
-      EXPECT_NE(body.find("\"reason\""), std::string::npos) << body;
-      std::remove(report.c_str());
+      const std::string body = slurp(dump);
+      EXPECT_NE(body.find("\"rank\":0,\"health\":{\"reason\":"),
+                std::string::npos)
+          << body;
+      // The endpoint's probe rides along: the transport gauges.
+      EXPECT_NE(body.find("\"transport\":{\"sendq_bytes\":"),
+                std::string::npos)
+          << body;
+      std::remove(dump.c_str());
     } else {
       EXPECT_EQ(wd::reports_written(), before)
-          << "clean run tripped the watchdog: " << slurp(report);
-      EXPECT_NE(::access(report.c_str(), F_OK), 0);
+          << "clean run tripped the watchdog: " << slurp(dump);
+      EXPECT_NE(::access(dump.c_str(), F_OK), 0);
     }
   }
-  wd::configure(0, nullptr);
+  wd::configure(0);
 }
 
 }  // namespace
