@@ -12,7 +12,7 @@
 //
 //   -n N            ranks to launch (default 4; parent mode only)
 //   --once          render exactly one frame (no screen clearing) and exit
-//   --interval MS   refresh interval (else ASPEN_TOP_INTERVAL_MS, else 500)
+//   --interval MS   refresh interval (default 500)
 //   --rounds R      traffic rounds to run (default 20; 3 with --once)
 //   --conduit C     tcp (default) or shm; the shm% column shows the share
 //                   of each rank's AM traffic that rode the shared-memory
@@ -42,22 +42,10 @@ using namespace aspen;
 struct top_options {
   int nranks = 4;
   bool once = false;
-  std::uint32_t interval_ms = 0;  // 0 = resolve from env / default below
-  int rounds = 0;                 // 0 = default per mode
-  bool shm = false;               // --conduit shm
+  std::uint32_t interval_ms = 500;
+  int rounds = 0;    // 0 = default per mode
+  bool shm = false;  // --conduit shm
 };
-
-std::uint32_t resolve_interval(const top_options& o) {
-  if (o.interval_ms != 0) return o.interval_ms;
-  if (const char* s = std::getenv("ASPEN_TOP_INTERVAL_MS");
-      s != nullptr && *s != '\0') {
-    char* end = nullptr;
-    const unsigned long v = std::strtoul(s, &end, 10);
-    if (end != s && *end == '\0' && v != 0)
-      return static_cast<std::uint32_t>(std::min(v, 60'000ul));
-  }
-  return 500;
-}
 
 top_options parse_args(int argc, char** argv) {
   top_options o;
@@ -252,7 +240,6 @@ void traffic_round(atomic_domain<std::uint64_t>& ad,
 int run_monitored_job(const top_options& o) {
   const char* nr = std::getenv(net::kEnvNranks);
   const int nranks = nr != nullptr ? std::atoi(nr) : o.nranks;
-  const std::uint32_t interval = resolve_interval(o);
   gex::config gcfg;
   gcfg.transport = o.shm ? gex::conduit::shm : gex::conduit::tcp;
 
@@ -272,7 +259,7 @@ int run_monitored_job(const top_options& o) {
       if (rank_me() == 0) {
         // Let sibling periodic pushes land, then draw. --once draws only
         // the final frame so the smoke-test output stays one screen.
-        progress_for(o.once && round < o.rounds ? 1 : interval);
+        progress_for(o.once && round < o.rounds ? 1 : o.interval_ms);
         if (!o.once || round == o.rounds) {
           // Rank 0 never ships itself update frames; refresh its collector
           // slot in place (absolute totals, same as the region-exit path)
@@ -323,7 +310,7 @@ int relaunch(const top_options& o, const char* argv0) {
   if (o.once) cmd += " --once";
   if (o.shm) cmd += " --conduit shm";
   cmd += " --rounds " + std::to_string(o.rounds);
-  cmd += " --interval " + std::to_string(resolve_interval(o));
+  cmd += " --interval " + std::to_string(o.interval_ms);
   const int rc = std::system(cmd.c_str());
   return rc == 0 ? 0 : 1;
 }

@@ -103,15 +103,12 @@
 //
 // Stall watchdog and the aspen-top monitor (see docs/TELEMETRY.md):
 //   ASPEN_WATCHDOG_MS      non-zero arms the stall watchdog: a rank whose
-//                          oldest pending remote op, progress gap (with
-//                          work pending), or send-queue drain exceeds this
-//                          many ms writes its flight-recorder dump
-//                          <base>.rank<R>.flight.json, a health object
+//                          oldest pending remote op or send-queue drain
+//                          exceeds this many ms writes its flight-recorder
+//                          dump <base>.rank<R>.flight.json, a health object
 //                          ahead of the ring's records, once per stall
 //                          episode (<base> from ASPEN_TELEMETRY_TRACE);
 //                          SIGUSR1 forces a dump (unset/0 = off)
-//   ASPEN_TOP_INTERVAL_MS  aspen-top refresh interval when --interval is
-//                          not given (default 500, clamped to 1 min)
 //   ASPEN_RUN              aspen-top: path to the aspen-run launcher
 //                          (default: aspen-run next to the aspen-top binary)
 //

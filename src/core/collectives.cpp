@@ -12,38 +12,26 @@ bool coll_wire_active() noexcept {
 }
 
 std::vector<std::vector<std::byte>> coll_wire_exchange(
-    std::uint64_t key, std::uint64_t seq, const std::vector<int>& members,
-    const std::vector<std::byte>& mine) {
+    group_state& g, const std::vector<std::byte>& mine) {
   net::endpoint* ep = net::endpoint::instance();
   assert(ep != nullptr && "wire collective outside a tcp spmd region");
-  return ep->exchange(key, seq, members, mine,
+  return ep->exchange(g.wire_key, g.wire_seq++, g.members, mine,
                       [] { return aspen::progress(); });
 }
 
-std::vector<std::vector<std::byte>> coll_wire_exchange(
-    std::uint64_t key, std::uint64_t seq,
-    const std::vector<std::byte>& mine) {
-  const int n = ctx().rt->nranks();
-  std::vector<int> members(static_cast<std::size_t>(n));
-  for (int r = 0; r < n; ++r) members[static_cast<std::size_t>(r)] = r;
-  return coll_wire_exchange(key, seq, members, mine);
-}
-
-void coll_rendezvous() {
-  rank_context& c = ctx();
-  coll_state& cs = c.w->coll();
+void rendezvous(group_state& g) {
   if (coll_wire_active()) {
-    (void)coll_wire_exchange(kWorldCollWireKey, cs.wire_seq++, {});
+    (void)coll_wire_exchange(g, {});
     return;
   }
-  const int n = c.rt->nranks();
-  const std::uint64_t my_phase = cs.phase.load(std::memory_order_relaxed);
-  if (cs.arrived.fetch_add(1, std::memory_order_acq_rel) + 1 == n) {
-    cs.arrived.store(0, std::memory_order_relaxed);
-    cs.phase.fetch_add(1, std::memory_order_release);
+  const int n = static_cast<int>(g.members.size());
+  const std::uint64_t my_phase = g.phase.load(std::memory_order_relaxed);
+  if (g.arrived.fetch_add(1, std::memory_order_acq_rel) + 1 == n) {
+    g.arrived.store(0, std::memory_order_relaxed);
+    g.phase.fetch_add(1, std::memory_order_release);
   } else {
     for (std::size_t idle = 0;
-         cs.phase.load(std::memory_order_acquire) == my_phase;) {
+         g.phase.load(std::memory_order_acquire) == my_phase;) {
       if (aspen::progress() == 0) {
         if (++idle >= 64) wait_yield();
       } else {
@@ -53,88 +41,69 @@ void coll_rendezvous() {
   }
 }
 
-/// Re-armed once per progress entry until the epoch completes. Bound to
-/// the initiating persona: the barrier future becomes ready only on a
-/// thread holding it.
-void arm_async_barrier_poll(cell<>* c, coll_state* cs, std::uint64_t epoch) {
-  current_persona().enqueue_deferred([c, cs, epoch] {
-    if (cs->async_done_epoch.load(std::memory_order_acquire) > epoch) {
-      c->satisfy(1);
-      c->drop_ref();
-    } else {
-      arm_async_barrier_poll(c, cs, epoch);
-    }
-  });
+namespace {
+
+/// Number of fully-arrived world async-barrier epochs. On the wire
+/// conduits rank 0 releases epochs and the watermark lives on the
+/// endpoint.
+std::uint64_t async_done_epoch() {
+  if (coll_wire_active())
+    return net::endpoint::instance()->async_done_epoch();
+  return ctx().w->async().done_epoch.load(std::memory_order_acquire);
 }
 
-/// Socket-conduit variant: the done watermark lives on the endpoint (rank 0
-/// releases epochs over the wire).
-void arm_async_barrier_poll_wire(cell<>* c, std::uint64_t epoch) {
-  current_persona().enqueue_deferred([c, epoch] {
-    if (net::endpoint::instance()->async_done_epoch() > epoch) {
-      c->satisfy(1);
-      c->drop_ref();
-    } else {
-      arm_async_barrier_poll_wire(c, epoch);
-    }
-  });
-}
-
-}  // namespace detail
-
-void barrier() {
-  detail::coll_rendezvous();
-}
-
-future<> barrier_async() {
-  detail::rank_context& c = detail::ctx();
-  detail::coll_state& cs = c.w->coll();
-  const int n = c.rt->nranks();
-  const std::uint64_t epoch = c.next_async_epoch++;
-
-  if (detail::coll_wire_active()) {
-    net::endpoint* ep = net::endpoint::instance();
-    // Ring-capacity guard, matching the in-process conduits' bound on
-    // outstanding epochs.
-    while (epoch >= ep->async_done_epoch() +
-                        detail::coll_state::kAsyncEpochRing) {
-      aspen::progress();
-    }
-    ep->async_arrive(epoch);
-    if (ep->async_done_epoch() > epoch) {
-      // Rank 0 as the last arriver learns of completion synchronously —
-      // the eager path survives the socket conduit.
-      return make_future();
-    }
-    auto* cell = new detail::cell<>();
-    cell->deps = 1;
-    cell->add_ref();  // the poll task's reference
-    detail::arm_async_barrier_poll_wire(cell, epoch);
-    return future<>(cell, /*add_ref=*/false);
+void async_arrive(std::uint64_t epoch) {
+  if (coll_wire_active()) {
+    net::endpoint::instance()->async_arrive(epoch);
+    return;
   }
-
-  // Ring-capacity guard: wait (with progress) until the slot is free.
-  while (epoch >= cs.async_done_epoch.load(std::memory_order_acquire) +
-                      detail::coll_state::kAsyncEpochRing) {
-    aspen::progress();
-  }
-
-  auto& slot =
-      cs.async_arrived[epoch % detail::coll_state::kAsyncEpochRing];
-  if (slot.fetch_add(1, std::memory_order_acq_rel) + 1 == n) {
+  rank_context& c = ctx();
+  async_epochs& ae = c.w->async();
+  auto& slot = ae.arrived[epoch % kAsyncEpochRing];
+  if (slot.fetch_add(1, std::memory_order_acq_rel) + 1 == c.rt->nranks()) {
     slot.store(0, std::memory_order_relaxed);
     // Epochs complete in order, so this increment publishes exactly
     // epoch+1 as the done watermark.
-    cs.async_done_epoch.fetch_add(1, std::memory_order_release);
+    ae.done_epoch.fetch_add(1, std::memory_order_release);
   }
+}
 
-  if (cs.async_done_epoch.load(std::memory_order_acquire) > epoch) {
-    return make_future();  // last arriver: eager, pooled, allocation-free
+/// Re-armed once per progress entry until the epoch completes. Bound to
+/// the initiating persona: the barrier future becomes ready only on a
+/// thread holding it.
+void arm_async_barrier_poll(cell<>* c, std::uint64_t epoch) {
+  current_persona().enqueue_deferred([c, epoch] {
+    if (async_done_epoch() > epoch) {
+      c->satisfy(1);
+      c->drop_ref();
+    } else {
+      arm_async_barrier_poll(c, epoch);
+    }
+  });
+}
+
+}  // namespace
+
+}  // namespace detail
+
+void barrier() { detail::rendezvous(detail::ctx().w->group()); }
+
+future<> barrier_async() {
+  const std::uint64_t epoch = detail::ctx().next_async_epoch++;
+  // Ring-capacity guard: wait (with progress) until the slot is free.
+  while (epoch >= detail::async_done_epoch() + detail::kAsyncEpochRing) {
+    aspen::progress();
+  }
+  detail::async_arrive(epoch);
+  if (detail::async_done_epoch() > epoch) {
+    // Last arriver (on the wire conduits, rank 0 as the last arriver):
+    // eager, pooled, allocation-free.
+    return make_future();
   }
   auto* cell = new detail::cell<>();
   cell->deps = 1;
   cell->add_ref();  // the poll task's reference
-  detail::arm_async_barrier_poll(cell, &cs, epoch);
+  detail::arm_async_barrier_poll(cell, epoch);
   return future<>(cell, /*add_ref=*/false);
 }
 

@@ -1,10 +1,16 @@
-// Shared-memory collectives: barrier, broadcast, reductions.
+// Collectives: barrier, broadcast, reductions.
 //
 // These are substrate conveniences used by applications for setup and
 // teardown (the paper's apps use MPI collectives for initialization); all
 // timed communication goes through RMA/atomics. Every collective keeps the
 // progress engine turning while waiting, so outstanding AMs continue to
 // drain.
+//
+// Each collective is written once, in namespace detail, against a
+// group_state (runtime.hpp): the world's, or a team's (team.hpp). In-process
+// ranks meet on the group's phase counter and exchange values through its
+// slots; on the wire conduits the group's members make a star exchange
+// over net::endpoint (members[0] coordinates) on the group's wire stream.
 #pragma once
 
 #include <cstddef>
@@ -25,9 +31,8 @@ void barrier();
 
 /// Asynchronous barrier: registers this rank's arrival at the next barrier
 /// epoch and returns a future readied once every rank has arrived at that
-/// epoch. Epochs complete in order; at most coll_state::kAsyncEpochRing
-/// epochs may be outstanding (further calls block until earlier epochs
-/// drain).
+/// epoch. Epochs complete in order; at most detail::kAsyncEpochRing epochs
+/// may be outstanding (further calls block until earlier epochs drain).
 ///
 /// Eager-notification semantics extend naturally here (an ASPEN extension
 /// in the spirit of the paper): if the caller is the *last* arriver the
@@ -38,132 +43,139 @@ void barrier();
 
 namespace detail {
 
-/// Phase-counting rendezvous used by all collectives: returns after all
-/// ranks arrive, servicing progress while spinning.
-void coll_rendezvous();
-
-// ---- socket-conduit dispatch (conduit::tcp; implemented over
-// net::endpoint in collectives.cpp) --------------------------------------
-
-/// True when the calling rank's run uses conduit::tcp, in which case every
-/// collective must go over the wire (ranks are separate processes and the
-/// shared coll_state slots only exist per process).
+/// True when the calling rank's run uses a wire conduit (tcp or shm), in
+/// which case every collective goes over the wire (ranks are separate
+/// processes and a group_state only exists per process).
 [[nodiscard]] bool coll_wire_active() noexcept;
 
-/// All-to-all byte-blob exchange among `members` (world ranks, identical
-/// list in every member; members.front() coordinates). (key, seq) must
-/// identify this collective identically in every member. Blocks, servicing
-/// full progress. Returns member-ordered contributions.
+/// All-to-all byte-blob exchange among g's members on g's wire stream.
+/// Blocks, servicing full progress. Returns member-ordered contributions.
 [[nodiscard]] std::vector<std::vector<std::byte>> coll_wire_exchange(
-    std::uint64_t key, std::uint64_t seq, const std::vector<int>& members,
-    const std::vector<std::byte>& mine);
+    group_state& g, const std::vector<std::byte>& mine);
 
-/// World-team convenience: members = 0..rank_n-1.
-[[nodiscard]] std::vector<std::vector<std::byte>> coll_wire_exchange(
-    std::uint64_t key, std::uint64_t seq, const std::vector<std::byte>& mine);
+/// Phase-counting rendezvous: returns after all of g's members arrive,
+/// servicing progress while spinning.
+void rendezvous(group_state& g);
 
-/// Collective key of the world coll_state's wire stream.
-inline constexpr std::uint64_t kWorldCollWireKey = 0xA5C0000000000001ull;
+/// Broadcast a trivially copyable value from group rank `root`; `me` is
+/// the caller's group rank.
+template <typename T>
+[[nodiscard]] T broadcast(group_state& g, int me, T value, int root) {
+  static_assert(std::is_trivially_copyable_v<T>);
+  static_assert(sizeof(T) <= group_state::kSlotBytes,
+                "broadcast value too large for a slot; use broadcast_vector");
+  const auto r = static_cast<std::size_t>(root);
+  T out;
+  if (coll_wire_active()) {
+    std::vector<std::byte> mine(sizeof(T));
+    if (me == root) std::memcpy(mine.data(), &value, sizeof(T));
+    std::memcpy(&out, coll_wire_exchange(g, mine)[r].data(), sizeof(T));
+    return out;
+  }
+  if (me == root) std::memcpy(g.contrib[r].data, &value, sizeof(T));
+  rendezvous(g);
+  std::memcpy(&out, g.contrib[r].data, sizeof(T));
+  rendezvous(g);  // root may not reuse the slot until all read
+  return out;
+}
+
+/// Broadcast a vector of trivially copyable elements from group rank
+/// `root`.
+template <typename T>
+[[nodiscard]] std::vector<T> broadcast_vector(group_state& g, int me,
+                                              const std::vector<T>& v,
+                                              int root) {
+  static_assert(std::is_trivially_copyable_v<T>);
+  const auto r = static_cast<std::size_t>(root);
+  const auto copy_out = [](const std::vector<std::byte>& blob) {
+    std::vector<T> out(blob.size() / sizeof(T));
+    if (!blob.empty()) std::memcpy(out.data(), blob.data(), blob.size());
+    return out;
+  };
+  if (coll_wire_active()) {
+    std::vector<std::byte> mine;
+    if (me == root) {
+      mine.resize(v.size() * sizeof(T));
+      if (!mine.empty()) std::memcpy(mine.data(), v.data(), mine.size());
+    }
+    return copy_out(coll_wire_exchange(g, mine)[r]);
+  }
+  if (me == root) {
+    g.bulk_buf.resize(v.size() * sizeof(T));
+    if (!g.bulk_buf.empty())
+      std::memcpy(g.bulk_buf.data(), v.data(), g.bulk_buf.size());
+  }
+  rendezvous(g);
+  std::vector<T> out = copy_out(g.bulk_buf);
+  rendezvous(g);
+  return out;
+}
+
+/// Every member contributes `value`; `visit(i, x)` then sees member i's
+/// contribution x for each group rank i in order.
+template <typename T, typename Visit>
+void gather(group_state& g, int me, const T& value, Visit&& visit) {
+  static_assert(std::is_trivially_copyable_v<T>);
+  static_assert(sizeof(T) <= group_state::kSlotBytes);
+  T x;
+  if (coll_wire_active()) {
+    std::vector<std::byte> mine(sizeof(T));
+    std::memcpy(mine.data(), &value, sizeof(T));
+    const auto all = coll_wire_exchange(g, mine);
+    for (std::size_t i = 0; i < all.size(); ++i) {
+      std::memcpy(&x, all[i].data(), sizeof(T));
+      visit(i, x);
+    }
+    return;
+  }
+  std::memcpy(g.contrib[static_cast<std::size_t>(me)].data, &value,
+              sizeof(T));
+  rendezvous(g);
+  for (std::size_t i = 0; i < g.members.size(); ++i) {
+    std::memcpy(&x, g.contrib[i].data, sizeof(T));
+    visit(i, x);
+  }
+  rendezvous(g);  // no member may overwrite its slot until all read
+}
+
+/// All-reduce with a binary combiner, applied in group-rank order (so
+/// non-commutative combiners are deterministic).
+template <typename T, typename Op>
+[[nodiscard]] T allreduce(group_state& g, int me, T value, Op op) {
+  T acc = value;
+  gather(g, me, value, [&](std::size_t i, const T& x) {
+    if (i == 0)
+      acc = x;
+    else
+      acc = op(acc, x);
+  });
+  return acc;
+}
 
 }  // namespace detail
 
-/// Broadcast a trivially copyable value (<= coll_state::kSlotBytes) from
+/// Broadcast a trivially copyable value (<= group_state::kSlotBytes) from
 /// `root` to all ranks.
 template <typename T>
 [[nodiscard]] T broadcast(T value, int root) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  static_assert(sizeof(T) <= detail::coll_state::kSlotBytes,
-                "broadcast value too large for a slot; use broadcast_vector");
   detail::rank_context& c = detail::ctx();
-  detail::coll_state& cs = c.w->coll();
-  if (detail::coll_wire_active()) {
-    std::vector<std::byte> mine(sizeof(T));
-    if (c.rank == root) std::memcpy(mine.data(), &value, sizeof(T));
-    auto all = detail::coll_wire_exchange(detail::kWorldCollWireKey,
-                                          cs.wire_seq++, mine);
-    T out;
-    std::memcpy(&out, all[static_cast<std::size_t>(root)].data(), sizeof(T));
-    return out;
-  }
-  if (c.rank == root)
-    std::memcpy(cs.contrib[static_cast<std::size_t>(root)].data, &value,
-                sizeof(T));
-  detail::coll_rendezvous();
-  T out;
-  std::memcpy(&out, cs.contrib[static_cast<std::size_t>(root)].data,
-              sizeof(T));
-  detail::coll_rendezvous();  // root may not reuse the slot until all read
-  return out;
+  return detail::broadcast(c.w->group(), c.rank, value, root);
 }
 
 /// Broadcast a vector of trivially copyable elements from `root`.
 template <typename T>
 [[nodiscard]] std::vector<T> broadcast_vector(const std::vector<T>& v,
                                               int root) {
-  static_assert(std::is_trivially_copyable_v<T>);
   detail::rank_context& c = detail::ctx();
-  detail::coll_state& cs = c.w->coll();
-  if (detail::coll_wire_active()) {
-    std::vector<std::byte> mine;
-    if (c.rank == root) {
-      mine.resize(v.size() * sizeof(T));
-      if (!mine.empty()) std::memcpy(mine.data(), v.data(), mine.size());
-    }
-    auto all = detail::coll_wire_exchange(detail::kWorldCollWireKey,
-                                          cs.wire_seq++, mine);
-    const auto& blob = all[static_cast<std::size_t>(root)];
-    std::vector<T> out(blob.size() / sizeof(T));
-    if (!blob.empty()) std::memcpy(out.data(), blob.data(), blob.size());
-    return out;
-  }
-  if (c.rank == root) {
-    cs.bulk_buf.resize(v.size() * sizeof(T));
-    if (!cs.bulk_buf.empty())
-      std::memcpy(cs.bulk_buf.data(), v.data(), cs.bulk_buf.size());
-  }
-  detail::coll_rendezvous();
-  std::vector<T> out(cs.bulk_buf.size() / sizeof(T));
-  if (!cs.bulk_buf.empty())
-    std::memcpy(out.data(), cs.bulk_buf.data(), cs.bulk_buf.size());
-  detail::coll_rendezvous();
-  return out;
+  return detail::broadcast_vector(c.w->group(), c.rank, v, root);
 }
 
 /// All-reduce a trivially copyable value with a binary combiner (applied in
 /// rank order, so non-commutative combiners are deterministic).
 template <typename T, typename Op>
 [[nodiscard]] T allreduce(T value, Op op) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  static_assert(sizeof(T) <= detail::coll_state::kSlotBytes);
   detail::rank_context& c = detail::ctx();
-  detail::coll_state& cs = c.w->coll();
-  if (detail::coll_wire_active()) {
-    std::vector<std::byte> mine(sizeof(T));
-    std::memcpy(mine.data(), &value, sizeof(T));
-    auto all = detail::coll_wire_exchange(detail::kWorldCollWireKey,
-                                          cs.wire_seq++, mine);
-    T acc;
-    std::memcpy(&acc, all[0].data(), sizeof(T));
-    for (std::size_t r = 1; r < all.size(); ++r) {
-      T x;
-      std::memcpy(&x, all[r].data(), sizeof(T));
-      acc = op(acc, x);
-    }
-    return acc;
-  }
-  std::memcpy(cs.contrib[static_cast<std::size_t>(c.rank)].data, &value,
-              sizeof(T));
-  detail::coll_rendezvous();
-  T acc;
-  std::memcpy(&acc, cs.contrib[0].data, sizeof(T));
-  const int n = c.rt->nranks();
-  for (int r = 1; r < n; ++r) {
-    T x;
-    std::memcpy(&x, cs.contrib[static_cast<std::size_t>(r)].data, sizeof(T));
-    acc = op(acc, x);
-  }
-  detail::coll_rendezvous();
-  return acc;
+  return detail::allreduce(c.w->group(), c.rank, value, op);
 }
 
 template <typename T>

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <numeric>
 #include <vector>
 
 #include "core/persona.hpp"
@@ -28,33 +29,48 @@ class world;
 
 namespace detail {
 
-/// Shared state for barrier/broadcast/reduce (see collectives.hpp).
-struct coll_state {
+/// Key of the world group's wire stream; split children derive theirs
+/// from their parent's (team.cpp).
+inline constexpr std::uint64_t kWorldWireKey = 0xA5C0000000000001ull;
+
+/// One collective group, the world or a team split from it; every
+/// collective in collectives.hpp runs against one of these.
+struct group_state {
   static constexpr std::size_t kSlotBytes = 192;
 
   struct alignas(64) slot {
     std::byte data[kSlotBytes];
   };
 
+  /// World ranks in group-rank order.
+  const std::vector<int> members;
   std::atomic<int> arrived{0};
   std::atomic<std::uint64_t> phase{0};
   std::vector<slot> contrib;
-  /// Variable-length broadcast staging area; protected by barriers.
+  /// Variable-length broadcast staging area; protected by the rendezvous.
   std::vector<std::byte> bulk_buf;
-
-  /// Asynchronous-barrier state: arrivals are counted per epoch in a ring;
-  /// `async_done_epoch` is the number of fully-arrived epochs (epochs
-  /// complete strictly in order).
-  static constexpr std::size_t kAsyncEpochRing = 64;
-  std::array<std::atomic<int>, kAsyncEpochRing> async_arrived{};
-  std::atomic<std::uint64_t> async_done_epoch{0};
-
-  /// Monotonic sequence of world collectives on the socket conduit (each
-  /// wire collective consumes one; only the rank thread touches it).
+  /// Identifies the group's wire stream identically in every member's
+  /// process. Set once, at creation.
+  const std::uint64_t wire_key;
+  /// Monotonic sequence of the group's wire collectives (each consumes
+  /// one). On the wire conduits a process holds one rank, so only that
+  /// rank's thread touches it.
   std::uint64_t wire_seq = 0;
+  /// Process-local registry id; scopes the registry keys of child splits.
+  const std::uint64_t uid;
 
-  explicit coll_state(int nranks)
-      : contrib(static_cast<std::size_t>(nranks)) {}
+  group_state(std::vector<int> m, std::uint64_t key, std::uint64_t id)
+      : members(std::move(m)), contrib(members.size()), wire_key(key),
+        uid(id) {}
+};
+
+/// The world's asynchronous-barrier epochs: arrivals are counted per epoch
+/// in a ring; `done_epoch` is the number of fully-arrived epochs (epochs
+/// complete strictly in order).
+inline constexpr std::size_t kAsyncEpochRing = 64;
+struct async_epochs {
+  std::array<std::atomic<int>, kAsyncEpochRing> arrived{};
+  std::atomic<std::uint64_t> done_epoch{0};
 };
 
 /// Thread-local context of the calling rank. Worker threads spawned by
@@ -92,12 +108,14 @@ struct rank_context {
 
 }  // namespace detail
 
-/// The per-run global object: substrate runtime + collective scratch state
-/// + the per-rank master personas.
+/// The per-run global object: substrate runtime + the world's collective
+/// group and async-barrier epochs + the per-rank master personas.
 class world {
  public:
   world(int nranks, gex::config gcfg, version_config ver)
-      : rt_(nranks, gcfg), coll_(nranks), initial_ver_(ver) {
+      : rt_(nranks, gcfg),
+        group_(all_ranks(nranks), detail::kWorldWireKey, /*id=*/0),
+        initial_ver_(ver) {
     masters_.reserve(static_cast<std::size_t>(nranks));
     for (int r = 0; r < nranks; ++r) {
       auto p = std::make_unique<persona>();
@@ -108,7 +126,8 @@ class world {
   }
 
   [[nodiscard]] gex::runtime& rt() noexcept { return rt_; }
-  [[nodiscard]] detail::coll_state& coll() noexcept { return coll_; }
+  [[nodiscard]] detail::group_state& group() noexcept { return group_; }
+  [[nodiscard]] detail::async_epochs& async() noexcept { return async_; }
   [[nodiscard]] version_config initial_version() const noexcept {
     return initial_ver_;
   }
@@ -117,8 +136,15 @@ class world {
   }
 
  private:
+  static std::vector<int> all_ranks(int nranks) {
+    std::vector<int> m(static_cast<std::size_t>(nranks));
+    std::iota(m.begin(), m.end(), 0);
+    return m;
+  }
+
   gex::runtime rt_;
-  detail::coll_state coll_;
+  detail::group_state group_;
+  detail::async_epochs async_;
   version_config initial_ver_;
   std::vector<std::unique_ptr<persona>> masters_;
 };

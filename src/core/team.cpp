@@ -5,6 +5,7 @@
 #include <mutex>
 #include <stdexcept>
 #include <tuple>
+#include <utility>
 
 #include "shm/mapper.hpp"
 
@@ -14,7 +15,7 @@ namespace detail {
 
 namespace {
 
-// (world, parent team uid, collective id, color)
+// (world, parent group uid, collective id, color)
 using registry_key =
     std::tuple<const void*, std::uint64_t, std::uint64_t, int>;
 
@@ -23,15 +24,17 @@ std::mutex& registry_mutex() {
   return mu;
 }
 
-std::map<registry_key, std::weak_ptr<team_shared>>& registry() {
-  static std::map<registry_key, std::weak_ptr<team_shared>> reg;
+std::map<registry_key, std::weak_ptr<group_state>>& registry() {
+  static std::map<registry_key, std::weak_ptr<group_state>> reg;
   return reg;
 }
 
-constexpr std::uint64_t kWorldTeamId = ~std::uint64_t{0};
-
-std::shared_ptr<team_shared> get_or_create_keyed(
-    const registry_key& key, const std::vector<int>& members) {
+/// The split child for `key`. The first member to arrive creates it, with
+/// the wire key it computed; every member computes the same members and
+/// key, so the others only check theirs.
+std::shared_ptr<group_state> attach_child(const registry_key& key,
+                                          std::vector<int> members,
+                                          std::uint64_t wire_key) {
   std::lock_guard<std::mutex> g(registry_mutex());
   auto& reg = registry();
   // Purge expired entries opportunistically (setup path only).
@@ -45,24 +48,17 @@ std::shared_ptr<team_shared> get_or_create_keyed(
   if (it != reg.end()) {
     if (auto sp = it->second.lock()) {
       assert(sp->members == members && "team id collision");
+      assert(sp->wire_key == wire_key);
       return sp;
     }
   }
-  auto sp = std::make_shared<team_shared>(members);
+  // Uid 0 is the world's; a child's is unique in the process.
   static std::uint64_t next_uid = 1;
-  sp->uid = next_uid++;  // under registry_mutex
+  auto sp = std::make_shared<group_state>(std::move(members), wire_key,
+                                          next_uid++);
   reg[key] = sp;
   return sp;
 }
-
-}  // namespace
-
-std::shared_ptr<team_shared> team_registry_get_or_create(
-    std::uint64_t id, const std::vector<int>& members) {
-  return get_or_create_keyed({ctx().w, 0, id, 0}, members);
-}
-
-namespace {
 
 /// FNV-1a over a stream of u64 words; derives child-team wire keys that
 /// every member computes identically without any central allocation.
@@ -74,43 +70,17 @@ std::uint64_t mix_u64(std::uint64_t h, std::uint64_t x) {
   return h;
 }
 
-constexpr std::uint64_t kWorldTeamWireKey = 0xA5C0000000000002ull;
-
 }  // namespace
-
-void team_rendezvous(team_shared& ts) {
-  if (coll_wire_active()) {
-    (void)coll_wire_exchange(ts.wire_key, ts.wire_seq++, ts.members, {});
-    return;
-  }
-  const int n = static_cast<int>(ts.members.size());
-  const std::uint64_t my_phase = ts.phase.load(std::memory_order_relaxed);
-  if (ts.arrived.fetch_add(1, std::memory_order_acq_rel) + 1 == n) {
-    ts.arrived.store(0, std::memory_order_relaxed);
-    ts.phase.fetch_add(1, std::memory_order_release);
-  } else {
-    for (std::size_t idle = 0;
-         ts.phase.load(std::memory_order_acquire) == my_phase;) {
-      if (aspen::progress() == 0) {
-        if (++idle >= 64) wait_yield();
-      } else {
-        idle = 0;
-      }
-    }
-  }
-}
 
 }  // namespace detail
 
 team team::world() {
   detail::rank_context& c = detail::ctx();
-  std::vector<int> members(static_cast<std::size_t>(c.rt->nranks()));
-  for (int r = 0; r < c.rt->nranks(); ++r)
-    members[static_cast<std::size_t>(r)] = r;
-  auto shared = detail::get_or_create_keyed(
-      {c.w, 0, detail::kWorldTeamId, 0}, members);
-  shared->wire_key = detail::kWorldTeamWireKey;
-  return team(std::move(shared), c.rank);
+  // Aliasing an empty owner: a non-owning handle on the world's group,
+  // which outlives every team of the run.
+  return team(std::shared_ptr<detail::group_state>(std::shared_ptr<void>(),
+                                                   &c.w->group()),
+              c.rank);
 }
 
 team team::split(int color, int key) const {
@@ -118,68 +88,42 @@ team team::split(int color, int key) const {
   detail::rank_context& c = detail::ctx();
   const std::uint64_t id = c.next_collective_id++;
 
-  // Exchange (color, key) among the members of *this* team via its own
-  // contribution slots. Two-phase: everyone publishes, everyone reads.
+  // Gather every member's (color, key); keep the world ranks of my color,
+  // ordered by key (ties in parent-team order).
   struct entry {
     int color;
     int key;
   };
-  static_assert(sizeof(entry) <= detail::coll_state::kSlotBytes);
-  entry mine{color, key};
-  std::vector<std::pair<entry, int>> all;  // (entry, world rank)
-  all.reserve(shared_->members.size());
-  if (detail::coll_wire_active()) {
-    std::vector<std::byte> blob(sizeof(entry));
-    std::memcpy(blob.data(), &mine, sizeof(entry));
-    auto blobs = detail::coll_wire_exchange(
-        shared_->wire_key, shared_->wire_seq++, shared_->members, blob);
-    for (std::size_t r = 0; r < shared_->members.size(); ++r) {
-      entry e{};
-      std::memcpy(&e, blobs[r].data(), sizeof(entry));
-      all.emplace_back(e, shared_->members[r]);
-    }
-  } else {
-    std::memcpy(shared_->contrib[static_cast<std::size_t>(my_rank_)].data,
-                &mine, sizeof(entry));
-    detail::team_rendezvous(*shared_);
-    for (std::size_t r = 0; r < shared_->members.size(); ++r) {
-      entry e{};
-      std::memcpy(&e, shared_->contrib[r].data, sizeof(entry));
-      all.emplace_back(e, shared_->members[r]);
-    }
-    detail::team_rendezvous(*shared_);
-  }
-
+  std::vector<std::pair<int, int>> mates;  // (key, world rank)
+  detail::gather(*g_, my_rank_, entry{color, key},
+                 [&](std::size_t i, const entry& e) {
+                   if (e.color == color)
+                     mates.emplace_back(e.key, g_->members[i]);
+                 });
+  std::stable_sort(
+      mates.begin(), mates.end(),
+      [](const auto& a, const auto& b) { return a.first < b.first; });
   std::vector<int> members;
-  for (const auto& [e, wr] : all)
-    if (e.color == color) members.push_back(wr);
-  std::stable_sort(members.begin(), members.end(), [&](int a, int b) {
-    auto key_of = [&](int w) {
-      for (const auto& [e, wr] : all)
-        if (wr == w) return e.key;
-      return 0;
-    };
-    return key_of(a) < key_of(b);
-  });
+  int my_new_rank = -1;
+  for (const auto& mate : mates) {
+    if (mate.second == c.rank) my_new_rank = static_cast<int>(members.size());
+    members.push_back(mate.second);
+  }
+  assert(my_new_rank >= 0);
 
-  auto shared =
-      detail::get_or_create_keyed({c.w, shared_->uid, id, color}, members);
   // Wire identity: every member derives the same key from collectively-
   // known inputs (the per-process registry uid cannot serve — it is not
   // synchronized across processes).
-  std::uint64_t wk = detail::mix_u64(shared_->wire_key, id);
+  std::uint64_t wk = detail::mix_u64(g_->wire_key, id);
   wk = detail::mix_u64(wk, static_cast<std::uint64_t>(color));
   for (int m : members) wk = detail::mix_u64(wk, static_cast<std::uint64_t>(m));
-  shared->wire_key = wk;
-  int my_new_rank = -1;
-  for (std::size_t i = 0; i < members.size(); ++i)
-    if (members[i] == c.rank) my_new_rank = static_cast<int>(i);
-  assert(my_new_rank >= 0);
 
-  team result(std::move(shared), my_new_rank);
+  team result(detail::attach_child({c.w, g_->uid, id, color},
+                                   std::move(members), wk),
+              my_new_rank);
   // Hold the parent rendezvous until every member has attached, so no
   // member can observe (and expire) a half-constructed registry entry.
-  detail::team_rendezvous(*shared_);
+  detail::rendezvous(*g_);
   return result;
 }
 

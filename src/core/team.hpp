@@ -4,60 +4,26 @@
 // upcxx::team::split / MPI_Comm_split) and provides barrier / broadcast /
 // allreduce restricted to its members. The world team always exists.
 //
-// Implementation: each team's shared coordination state (arrival counters,
-// contribution slots) lives in a process-wide registry keyed by a
-// collectively-agreed team id; the first member to arrive materializes the
-// state, the others attach. Team handles are rank-local values.
+// Implementation: a team is a handle on a detail::group_state, and its
+// collectives are collectives.hpp's, run against that group. The world
+// owns its group; a split child's group lives in a process-wide registry
+// keyed by a collectively-agreed id, where the first member to arrive
+// creates it and the others attach. Team handles are rank-local values.
 #pragma once
 
-#include <cstdint>
-#include <cstring>
+#include <cstddef>
 #include <functional>
 #include <memory>
-#include <vector>
 
 #include "core/collectives.hpp"
 #include "core/runtime.hpp"
 
 namespace aspen {
 
-namespace detail {
-
-/// Shared coordination state of one team (same shape as the world's
-/// coll_state, sized to the team).
-struct team_shared {
-  /// Process-unique identity, used to scope child-team registry keys to
-  /// their parent (sibling teams split concurrently share collective ids).
-  std::uint64_t uid = 0;
-  std::atomic<int> arrived{0};
-  std::atomic<std::uint64_t> phase{0};
-  std::vector<coll_state::slot> contrib;
-  std::vector<std::byte> bulk_buf;
-  std::vector<int> members;  // world ranks in team-rank order
-  /// Socket-conduit identity: a collectively-derived key every member
-  /// computes identically (world constant for the world team, a hash of
-  /// (parent key, collective id, color, members) for splits), plus this
-  /// team's own wire-collective sequence.
-  std::uint64_t wire_key = 0;
-  std::uint64_t wire_seq = 0;
-
-  explicit team_shared(std::vector<int> m)
-      : contrib(m.size()), members(std::move(m)) {}
-};
-
-/// Process-wide team registry (per world). Access is mutex-guarded; team
-/// creation is a setup-path operation, never on the critical path.
-[[nodiscard]] std::shared_ptr<team_shared> team_registry_get_or_create(
-    std::uint64_t id, const std::vector<int>& members);
-
-/// Rendezvous on a team's own phase counter, servicing progress.
-void team_rendezvous(team_shared& ts);
-
-}  // namespace detail
-
 class team {
  public:
-  /// The team containing every rank (cheap to construct; no registry use).
+  /// The team containing every rank: a handle on the world's own group
+  /// (no registry use, no reference count).
   [[nodiscard]] static team world();
 
   /// Collectively split this team: members with the same `color` form a new
@@ -67,81 +33,33 @@ class team {
 
   [[nodiscard]] int rank_me() const noexcept { return my_rank_; }
   [[nodiscard]] int rank_n() const noexcept {
-    return static_cast<int>(shared_->members.size());
+    return static_cast<int>(g_->members.size());
   }
 
   /// Translate a team rank to the world rank.
   [[nodiscard]] int to_world(int team_rank) const noexcept {
-    return shared_->members[static_cast<std::size_t>(team_rank)];
+    return g_->members[static_cast<std::size_t>(team_rank)];
   }
   /// Translate a world rank to this team's numbering (-1 if not a member).
   [[nodiscard]] int from_world(int world_rank) const noexcept {
-    for (std::size_t i = 0; i < shared_->members.size(); ++i)
-      if (shared_->members[i] == world_rank) return static_cast<int>(i);
+    for (std::size_t i = 0; i < g_->members.size(); ++i)
+      if (g_->members[i] == world_rank) return static_cast<int>(i);
     return -1;
   }
 
   /// Barrier over this team's members only.
-  void barrier() const { detail::team_rendezvous(*shared_); }
+  void barrier() const { detail::rendezvous(*g_); }
 
   /// Broadcast a trivially copyable value from team rank `root`.
   template <typename T>
   [[nodiscard]] T broadcast(T value, int root) const {
-    static_assert(std::is_trivially_copyable_v<T>);
-    static_assert(sizeof(T) <= detail::coll_state::kSlotBytes);
-    if (detail::coll_wire_active()) {
-      std::vector<std::byte> mine(sizeof(T));
-      if (my_rank_ == root) std::memcpy(mine.data(), &value, sizeof(T));
-      auto all = detail::coll_wire_exchange(
-          shared_->wire_key, shared_->wire_seq++, shared_->members, mine);
-      T out;
-      std::memcpy(&out, all[static_cast<std::size_t>(root)].data(),
-                  sizeof(T));
-      return out;
-    }
-    if (my_rank_ == root)
-      std::memcpy(shared_->contrib[static_cast<std::size_t>(root)].data,
-                  &value, sizeof(T));
-    detail::team_rendezvous(*shared_);
-    T out;
-    std::memcpy(&out, shared_->contrib[static_cast<std::size_t>(root)].data,
-                sizeof(T));
-    detail::team_rendezvous(*shared_);
-    return out;
+    return detail::broadcast(*g_, my_rank_, value, root);
   }
 
   /// All-reduce over the team (combined in team-rank order).
   template <typename T, typename Op>
   [[nodiscard]] T allreduce(T value, Op op) const {
-    static_assert(std::is_trivially_copyable_v<T>);
-    static_assert(sizeof(T) <= detail::coll_state::kSlotBytes);
-    if (detail::coll_wire_active()) {
-      std::vector<std::byte> mine(sizeof(T));
-      std::memcpy(mine.data(), &value, sizeof(T));
-      auto all = detail::coll_wire_exchange(
-          shared_->wire_key, shared_->wire_seq++, shared_->members, mine);
-      T acc;
-      std::memcpy(&acc, all[0].data(), sizeof(T));
-      for (std::size_t r = 1; r < all.size(); ++r) {
-        T x;
-        std::memcpy(&x, all[r].data(), sizeof(T));
-        acc = op(acc, x);
-      }
-      return acc;
-    }
-    std::memcpy(shared_->contrib[static_cast<std::size_t>(my_rank_)].data,
-                &value, sizeof(T));
-    detail::team_rendezvous(*shared_);
-    T acc;
-    std::memcpy(&acc, shared_->contrib[0].data, sizeof(T));
-    for (int r = 1; r < rank_n(); ++r) {
-      T x;
-      std::memcpy(&x, shared_->contrib[static_cast<std::size_t>(r)].data,
-                  sizeof(T));
-      acc = op(acc, x);
-    }
-    detail::team_rendezvous(*shared_);
-    return acc;
+    return detail::allreduce(*g_, my_rank_, value, op);
   }
 
   template <typename T>
@@ -150,10 +68,10 @@ class team {
   }
 
  private:
-  team(std::shared_ptr<detail::team_shared> shared, int my_rank)
-      : shared_(std::move(shared)), my_rank_(my_rank) {}
+  team(std::shared_ptr<detail::group_state> g, int my_rank)
+      : g_(std::move(g)), my_rank_(my_rank) {}
 
-  std::shared_ptr<detail::team_shared> shared_;
+  std::shared_ptr<detail::group_state> g_;
   int my_rank_ = -1;
 };
 

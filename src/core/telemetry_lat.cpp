@@ -266,14 +266,9 @@ void maybe_check(std::uint64_t now_ns, std::uint64_t prev_progress_ns) {
   if (forced) g_report_requested = 0;
 
   std::optional<transport_status> ts;
-  const char* reason = nullptr;
-  if (oldest_age > threshold) {
-    reason = "oldest_op";
-  } else if (pending_count > 0 && gap > threshold) {
-    // A long progress gap is only a stall when work was actually waiting;
-    // an idle rank between regions is not starved.
-    reason = "progress_gap";
-  }
+  // A progress gap is no stall reason of its own: an op pending through a
+  // gap longer than the threshold is itself older than the threshold.
+  const char* reason = oldest_age > threshold ? "oldest_op" : nullptr;
   if (probe) {
     ts = probe();
     if (reason == nullptr && ts->oldest_sendq_age_ns > threshold)

@@ -22,9 +22,9 @@
 // intact.
 //
 // The watchdog (ASPEN_WATCHDOG_MS) piggybacks on progress: each check scans
-// this rank's oldest pending remote op, its own progress gap, and the
-// transport's sendq-drain age, and when any exceeds the threshold — or on
-// SIGUSR1 — writes the rank's flight-recorder dump
+// this rank's oldest pending remote op and the transport's sendq-drain
+// age, and when either exceeds the threshold — or on SIGUSR1 — writes the
+// rank's flight-recorder dump
 // ("<base>.rank<R>.flight.json", otrace.hpp) with a "health" object ahead
 // of the ring's records. With ASPEN_TELEMETRY compiled out both the
 // histograms and the watchdog compile to nothing (the types below remain

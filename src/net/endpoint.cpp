@@ -29,8 +29,8 @@ namespace aspen::net {
 namespace {
 
 // Collective keys reserved for endpoint-internal control traffic. User-
-// facing collective keys (world coll_state, team hashes) never use the top
-// byte 0xEC.
+// facing collective keys (the world group's, team hashes) never use the
+// top byte 0xEC.
 constexpr std::uint64_t kRegionKey = 0xEC00000000000001ull;
 constexpr std::uint64_t kQuiesceKey = 0xEC00000000000002ull;
 
@@ -1039,12 +1039,6 @@ std::vector<std::vector<std::byte>> endpoint::exchange(
   return out;
 }
 
-void endpoint::barrier(std::uint64_t key, std::uint64_t seq,
-                       const std::vector<int>& members,
-                       const progress_fn& progress) {
-  (void)exchange(key, seq, members, {}, progress);
-}
-
 void endpoint::note_async_arrival(std::uint64_t epoch) {
   // Rank 0 is the async-barrier coordinator. Epochs complete strictly in
   // order (each rank enters epochs in program order and the per-stream
@@ -1082,7 +1076,8 @@ std::vector<int> world_members(int nranks) {
 }  // namespace
 
 void endpoint::begin_region(const progress_fn& progress) {
-  barrier(kRegionKey, region_seq_++, world_members(nranks_), progress);
+  (void)exchange(kRegionKey, region_seq_++, world_members(nranks_), {},
+                 progress);
   // Re-arm the periodic push only once every rank has entered the region:
   // until the entry barrier releases, rank 0 may still be freezing the
   // previous region's aggregate, and an early push would skew it.

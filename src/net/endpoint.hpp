@@ -133,10 +133,6 @@ class endpoint final : public gex::wire_transport,
       std::uint64_t key, std::uint64_t seq, const std::vector<int>& members,
       const std::vector<std::byte>& mine, const progress_fn& progress);
 
-  /// Barrier over `members` (an exchange of empty contributions).
-  void barrier(std::uint64_t key, std::uint64_t seq,
-               const std::vector<int>& members, const progress_fn& progress);
-
   /// Asynchronous world barrier: signal this rank's arrival at `epoch`.
   /// Epochs complete in order; poll completion with async_done_epoch().
   void async_arrive(std::uint64_t epoch);

@@ -91,7 +91,7 @@ TEST(BarrierAsync, ManyEpochsBeyondRingCapacity) {
   aspen::spmd(2, [] {
     std::vector<future<>> fs;
     constexpr int kEpochs =
-        static_cast<int>(detail::coll_state::kAsyncEpochRing) * 3;
+        static_cast<int>(detail::kAsyncEpochRing) * 3;
     fs.reserve(kEpochs);
     for (int i = 0; i < kEpochs; ++i) fs.push_back(barrier_async());
     for (auto& f : fs) f.wait();
@@ -103,6 +103,7 @@ TEST(BarrierAsync, MixedWithSyncBarrier) {
     for (int i = 0; i < 10; ++i) {
       future<> f = barrier_async();
       barrier();  // independent state: must not deadlock or cross-fire
+      team::world().barrier();
       f.wait();
     }
   });

@@ -91,6 +91,17 @@ TEST_P(Collectives, BackToBackCollectives) {
       const int root = i % ranks;
       EXPECT_EQ(broadcast(rank_me() == root ? i : -1, root), i);
       EXPECT_EQ(allreduce_sum(1), ranks);
+      // The world's free functions and team::world()'s members are one
+      // collective sequence, interleaved in any order.
+      barrier();
+      team::world().barrier();
+      EXPECT_EQ(team::world().broadcast(rank_me() == root ? -i : 1, root), -i);
+      EXPECT_EQ(team::world().allreduce_sum(rank_me()),
+                ranks * (ranks - 1) / 2);
+      if (i % 10 == 0) {
+        const team t = team::world().split(rank_me() % 2, rank_me());
+        EXPECT_EQ(t.allreduce_sum(1), (ranks + 1 - rank_me() % 2) / 2);
+      }
     }
   });
 }

@@ -160,6 +160,23 @@ TEST(NetSpmd, CollectivesTeamsDistObjects) {
         0);
     EXPECT_EQ(v, std::vector<int>{0});
 
+    // The world's free functions and team::world()'s members ride one wire
+    // stream, interleaved in any order.
+    for (int i = 0; i < 4; ++i) {
+      const int root = i % n;
+      aspen::barrier();
+      aspen::team::world().barrier();
+      EXPECT_EQ(aspen::broadcast(aspen::rank_me() + i, root), root + i);
+      EXPECT_EQ(aspen::team::world().broadcast(aspen::rank_me() - i, root),
+                root - i);
+      EXPECT_EQ(aspen::allreduce_sum(i), n * i);
+      EXPECT_EQ(aspen::team::world().allreduce_sum(aspen::rank_me()),
+                n * (n - 1) / 2);
+      const aspen::team all = aspen::team::world().split(0, -aspen::rank_me());
+      EXPECT_EQ(all.rank_me(), n - 1 - aspen::rank_me());
+      EXPECT_EQ(all.allreduce_sum(1), n);
+    }
+
     // Even/odd split: team collectives ride the per-team wire streams.
     aspen::team t = aspen::team::world().split(aspen::rank_me() % 2,
                                                aspen::rank_me());

@@ -111,7 +111,7 @@ TEST(Smoke, RpcRoundTrip) {
 
 TEST(Smoke, AtomicsAcrossRanks) {
   aspen::spmd(4, [] {
-    static aspen::global_ptr<std::uint64_t> counter;
+    aspen::global_ptr<std::uint64_t> counter;
     if (aspen::rank_me() == 0) counter = aspen::new_<std::uint64_t>(0);
     counter = aspen::broadcast(counter, 0);
     aspen::atomic_domain<std::uint64_t> ad(

@@ -206,11 +206,13 @@ TEST(WatchdogTcp, StallTripsAndCleanDoesNot) {
   const std::string dump = otrace::dump_path(base, 0);
   if (rank == 0) {
     if (expect_trip) {
-      EXPECT_GT(wd::reports_written(), before)
-          << "stalled op never tripped the watchdog";
+      // One stall, one dump, naming the stuck op.
+      EXPECT_EQ(wd::reports_written(), before + 1)
+          << "the stalled op should trip the watchdog exactly once";
       const std::string body = slurp(dump);
-      EXPECT_NE(body.find("\"rank\":0,\"health\":{\"reason\":"),
-                std::string::npos)
+      EXPECT_NE(
+          body.find("\"rank\":0,\"health\":{\"reason\":\"oldest_op\""),
+          std::string::npos)
           << body;
       // The endpoint's probe rides along: the transport gauges.
       EXPECT_NE(body.find("\"transport\":{\"sendq_bytes\":"),
