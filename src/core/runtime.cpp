@@ -26,6 +26,16 @@ rank_context*& tls_context() noexcept {
 
 namespace detail {
 
+namespace {
+
+/// Only the master-persona holder may poll the substrate (and so pump a
+/// wire transport). Worker threads (run_workers) drain their own personas.
+bool polls_substrate(const rank_context& c) noexcept {
+  return c.master == nullptr || c.master->active_with_caller();
+}
+
+}  // namespace
+
 void wait_yield() noexcept {
   // Under a wired (socket) conduit, idle waits park on the transport so the
   // peer process this rank is waiting on gets the CPU immediately — a plain
@@ -34,7 +44,7 @@ void wait_yield() noexcept {
   // (and the smp legs run inside a tcp process) take the plain yield.
   if (have_ctx() && ctx().rt != nullptr) {
     if (gex::wire_transport* w = ctx().rt->wire()) {
-      w->idle_wait();
+      w->idle_wait(polls_substrate(ctx()));
       return;
     }
   }
@@ -51,8 +61,7 @@ std::size_t progress() {
   // (run_workers) still make progress here: they drain their own personas'
   // mailboxes and deferred queues below, while the master holder executes
   // AM reply handlers and routes completions back to them via LPC.
-  if (c.master == nullptr || c.master->active_with_caller())
-    n += c.rt->poll(c.rank);
+  if (detail::polls_substrate(c)) n += c.rt->poll(c.rank);
   const bool prev = c.in_progress;
   c.in_progress = true;
   n += detail::drain_active_personas();

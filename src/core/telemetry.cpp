@@ -61,6 +61,7 @@ constexpr const char* kCounterNames[] = {
     "shm_bulk_staged",
     "shm_ring_full",
     "shm_peers_mapped",
+    "shm_wakeups",
     "agg_frames_coalesced",
     "agg_flush_bytes",
     "agg_flush_frames",

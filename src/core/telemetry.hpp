@@ -149,6 +149,8 @@ enum class counter : std::size_t {
   shm_bulk_staged,     ///< large payloads staged via the bulk ring
   shm_ring_full,       ///< pushes that fell back to the socket (ring full)
   shm_peers_mapped,    ///< peers whose segments were mapped at bootstrap
+  shm_wakeups,         ///< ring pushes that found the consumer parked and
+                       ///< wrote its doorbell eventfd
 
   // Small-message aggregation (docs/AGG.md): per-peer wire coalescing in
   // net::endpoint.

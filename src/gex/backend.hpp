@@ -47,8 +47,14 @@ class wire_transport {
   /// poll(2) on its sockets) so a co-scheduled sibling process gets the CPU
   /// — on shared cores a spin-wait otherwise costs the sender its whole
   /// timeslice per message. Must return promptly once progress is possible;
-  /// may be called from any thread.
-  virtual void idle_wait() noexcept { std::this_thread::yield(); }
+  /// may be called from any thread. `pumps` is true iff the caller holds
+  /// the master persona, i.e. it is the thread whose progress() pumps this
+  /// transport (poll()'s contract), so traffic that only a pump can see
+  /// may wake it.
+  virtual void idle_wait(bool pumps) noexcept {
+    (void)pumps;
+    std::this_thread::yield();
+  }
 };
 
 /// Per-rank substrate state.

@@ -325,7 +325,8 @@ void endpoint::bootstrap_shm(const std::vector<std::uint64_t>& host_ids,
                host_ids[static_cast<std::size_t>(rank_)];
   };
   const long rdzv_port = env_long(kEnvRdzvPort);
-  const int my_fds[2] = {mp->data_fd(), mp->ctrl_fd()};
+  const int my_fds[3] = {mp->data_fd(), mp->ctrl_fd(), mp->bell_fd()};
+  bell_ = mp->own_bell();
 
   const auto wire_peer = [&](int r) {
     if (!mp->rank_mapped(r)) return;
@@ -334,8 +335,10 @@ void endpoint::bootstrap_shm(const std::vector<std::uint64_t>& host_ids,
     p.shm_out_bulk = mp->outbound_bulk(r);
     p.shm_in_msg = mp->inbound_msg(r);
     p.shm_in_bulk = mp->inbound_bulk(r);
+    p.shm_bell = mp->peer_bell(r);
     p.shm_active = p.shm_out_msg.valid() && p.shm_out_bulk.valid() &&
-                   p.shm_in_msg.valid() && p.shm_in_bulk.valid();
+                   p.shm_in_msg.valid() && p.shm_in_bulk.valid() &&
+                   p.shm_bell.valid();
     if (p.shm_active)
       telemetry::count(telemetry::counter::shm_peers_mapped);
   };
@@ -350,14 +353,12 @@ void endpoint::bootstrap_shm(const std::vector<std::uint64_t>& host_ids,
         static_cast<std::uint16_t>(rdzv_port), j));
     if (s < 0) continue;  // unreachable namespace: treat as off-host
     std::uint32_t tag = 0;
-    int fds[2] = {-1, -1};
-    if (shm::send_fds(s, static_cast<std::uint32_t>(rank_), my_fds, 2) &&
-        shm::recv_fds(s, &tag, fds, 2) && tag == static_cast<std::uint32_t>(j))
-      (void)mp->adopt_peer(j, fds[0], fds[1]);
-    else if (fds[0] >= 0) {
-      ::close(fds[0]);
-      ::close(fds[1]);
-    }
+    int fds[3] = {-1, -1, -1};
+    if (shm::send_fds(s, static_cast<std::uint32_t>(rank_), my_fds, 3) &&
+        shm::recv_fds(s, &tag, fds, 3) && tag == static_cast<std::uint32_t>(j))
+      (void)mp->adopt_peer(j, fds);
+    else
+      shm::close_fds(fds, 3);
     ::close(s);
     wire_peer(j);
   }
@@ -368,17 +369,16 @@ void endpoint::bootstrap_shm(const std::vector<std::uint64_t>& host_ids,
     const int s = shm::accept_peer(exchange_listen_fd);
     if (s < 0) break;
     std::uint32_t tag = 0;
-    int fds[2] = {-1, -1};
-    if (shm::recv_fds(s, &tag, fds, 2) &&
+    int fds[3] = {-1, -1, -1};
+    if (shm::recv_fds(s, &tag, fds, 3) &&
         tag > static_cast<std::uint32_t>(rank_) &&
         tag < static_cast<std::uint32_t>(nranks_) &&
         candidate(static_cast<int>(tag)) &&
-        shm::send_fds(s, static_cast<std::uint32_t>(rank_), my_fds, 2)) {
-      (void)mp->adopt_peer(static_cast<int>(tag), fds[0], fds[1]);
+        shm::send_fds(s, static_cast<std::uint32_t>(rank_), my_fds, 3)) {
+      (void)mp->adopt_peer(static_cast<int>(tag), fds);
       wire_peer(static_cast<int>(tag));
-    } else if (fds[0] >= 0) {
-      ::close(fds[0]);
-      ::close(fds[1]);
+    } else {
+      shm::close_fds(fds, 3);
     }
     ::close(s);
   }
@@ -465,6 +465,7 @@ bool endpoint::ship_batch_locked(peer& p, int target,
   const bool pushed =
       ring && p.shm_out_msg.try_push(p.batch.data(), p.batch.size());
   if (pushed) {
+    wake_shm_peer(p);
     telemetry::count(telemetry::counter::shm_msgs_sent, frames);
     telemetry::count(telemetry::counter::shm_bytes_sent, p.batch_payload);
     raise_high_water(shm_ring_high_water_, p.shm_out_msg.depth_bytes() +
@@ -599,6 +600,7 @@ void endpoint::send_am(gex::runtime& rt, int target, gex::am_message msg) {
     if (p.shm_out_bulk.can_push(len) && p.shm_out_msg.can_push(n) &&
         p.shm_out_bulk.try_push(payload, len) &&
         p.shm_out_msg.try_push(ctl, n)) {
+      wake_shm_peer(p);
       otrace::note_id(rec.trace, otrace::stage::shm_push, fid);
       telemetry::count(telemetry::counter::shm_bulk_staged);
       telemetry::count(telemetry::counter::shm_msgs_sent);
@@ -759,28 +761,38 @@ std::size_t endpoint::pump_shm_peer(gex::runtime& rt, int rank) {
   return work;
 }
 
-void endpoint::idle_wait() noexcept {
+void endpoint::idle_wait(bool pumps) noexcept {
   // A wait loop has gone a sustained stretch with zero progress: this rank
   // is blocked on a sibling *process*. Park in poll(2) on the mesh sockets,
   // bounded at 1 ms, instead of spinning: the scheduler hands the CPU to
   // the sender at once, and the first inbound byte wakes us.
   //
   // Open batches are forced out first: a parked waiter may be waiting on
-  // replies to the very records a batch is still holding. A non-empty
-  // inbound shm ring IS progress waiting to happen: the caller pumps instead
-  // of parking on sockets that will never see those bytes.
-  bool ring_ready = false;
-  for (int r = 0; r < nranks_; ++r) {
-    if (r == rank_) continue;
-    peer& p = peer_of(r);
-    if (agg_on_ && p.sock.valid()) {
+  // replies to the very records a batch is still holding.
+  if (agg_on_) {
+    for (int r = 0; r < nranks_; ++r) {
+      if (r == rank_) continue;
+      peer& p = peer_of(r);
+      if (!p.sock.valid()) continue;
       std::lock_guard<std::mutex> lk(p.mu);
       ship_batch_locked(p, r, telemetry::counter::agg_flush_forced);
       flush_locked(p, r);
     }
-    ring_ready = ring_ready || (p.shm_active && !p.shm_in_msg.empty());
   }
-  if (!ring_ready) io_.idle_park();
+  // Ring records touch no socket, so the thread that pumps the rings also
+  // parks on its doorbell: the parked word goes up before the last ring
+  // check (doorbell.hpp's ordering), and a producer that publishes after
+  // that check writes the eventfd the poll watches. A non-empty inbound
+  // ring IS progress waiting to happen: the caller pumps instead of
+  // parking.
+  const bool bell = pumps && shm_region_active_ && bell_.valid();
+  if (bell) bell_.arm();
+  bool ring_ready = false;
+  for (int r = 0; r < nranks_ && !ring_ready; ++r)
+    ring_ready = r != rank_ && peer_of(r).shm_active &&
+                 !peer_of(r).shm_in_msg.empty();
+  if (!ring_ready) io_.idle_park(bell ? bell_.fd() : -1);
+  if (bell) bell_.disarm();
 }
 
 std::size_t endpoint::drain_peer(gex::runtime& rt, int rank) {
@@ -1226,7 +1238,7 @@ void endpoint::finish_region_telemetry(const progress_fn& progress) {
   // the local contribution. The local capture happens *after* the remote
   // finals so their net_telemetry_received ticks are inside it.
   while (telemetry::live::collector_finals() < nranks_ - 1) {
-    if (progress() == 0) idle_wait();
+    if (progress() == 0) idle_wait(/*pumps=*/true);
   }
   telemetry::live::collector_begin_epoch();
   telemetry::live::collector_note_local(telemetry::live::capture_total(),

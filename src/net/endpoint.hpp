@@ -31,6 +31,7 @@
 #include "net/io_backend.hpp"
 #include "net/socket.hpp"
 #include "net/wire.hpp"
+#include "shm/doorbell.hpp"
 #include "shm/ring.hpp"
 
 namespace aspen::net {
@@ -80,7 +81,7 @@ class endpoint final : public gex::wire_transport,
   void send_am(gex::runtime& rt, int target, gex::am_message msg) override;
   std::size_t pump(gex::runtime& rt) override;
   [[nodiscard]] bool has_pending() const noexcept override;
-  void idle_wait() noexcept override;
+  void idle_wait(bool pumps) noexcept override;
 
   /// The socket data plane (always "poll"; docs/NET.md).
   [[nodiscard]] const char* data_plane() const noexcept { return "poll"; }
@@ -206,6 +207,8 @@ class endpoint final : public gex::wire_transport,
     shm::spsc_ring shm_out_bulk;
     shm::spsc_ring shm_in_msg;
     shm::spsc_ring shm_in_bulk;
+    /// The peer's doorbell, rung after every push into shm_out_msg.
+    shm::doorbell shm_bell;
     // ---- the batch (guarded by mu; docs/AGG.md): a run of staged eager
     // records that ships as one ring record or one am_eager frame ----
     std::vector<std::byte> batch;
@@ -257,6 +260,10 @@ class endpoint final : public gex::wire_transport,
   /// frame of the same bytes on `p.out` for the caller to flush. Ticks
   /// `trigger` when aggregating. True iff it went into the ring; mu held.
   bool ship_batch_locked(peer& p, int target, telemetry::counter trigger);
+  /// After publishing a ring record to `p`: wake its consumer if parked.
+  static void wake_shm_peer(peer& p) noexcept {
+    if (p.shm_bell.ring()) telemetry::count(telemetry::counter::shm_wakeups);
+  }
   /// Park the calling injector while the peer's unsent socket bytes exceed
   /// sendq_max_ (bounded spin: progress is always guaranteed; the master
   /// thread pumps instead of spinning so inbound bytes keep draining).
@@ -319,6 +326,8 @@ class endpoint final : public gex::wire_transport,
   // cfg_.shm at bootstrap.
   bool shm_ok_ = false;
   bool shm_region_active_ = false;
+  /// This rank's own doorbell (consumer side; idle_wait arms it).
+  shm::doorbell bell_;
   std::size_t shm_eager_max_ = 0;
   std::size_t shm_bulk_max_ = 0;
   std::size_t shm_msg_cap_ = 0;  ///< message-ring capacity (batch bound)

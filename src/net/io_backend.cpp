@@ -89,23 +89,22 @@ std::size_t io_backend::pump(recv_sink& sink) {
   return work;
 }
 
-void io_backend::idle_park() {
-  pollfd fds[kMaxPollFds];
+void io_backend::idle_park(int bell_fd) {
+  // Slot 0 holds the doorbell when there is one; the peer window follows.
+  pollfd fds[1 + kMaxPollFds];
   nfds_t n = 0;
+  if (bell_fd >= 0) fds[n++] = {bell_fd, POLLIN, 0};
+  const nfds_t cap = n + kMaxPollFds;
   std::size_t active = 0;
   const std::size_t count = fds_.size();
+  const std::size_t start = rotate_.load(std::memory_order_relaxed);
   // Fill the window starting at the rotation cursor so a mesh larger
   // than the fd cap watches every peer within ceil(active/cap) parks.
   for (std::size_t i = 0; i < count; ++i) {
-    const std::size_t r = (rotate_ + i) % count;
-    const int fd = fds_[r];
+    const int fd = fds_[(start + i) % count];
     if (fd < 0) continue;
     ++active;
-    if (n >= kMaxPollFds) continue;
-    fds[n].fd = fd;
-    fds[n].events = POLLIN;
-    fds[n].revents = 0;
-    ++n;
+    if (n < cap) fds[n++] = {fd, POLLIN, 0};
   }
   if (n == 0) {
     std::this_thread::yield();
@@ -114,7 +113,8 @@ void io_backend::idle_park() {
   if (active > static_cast<std::size_t>(kMaxPollFds)) {
     telemetry::count(telemetry::counter::net_idle_unwatched,
                      active - static_cast<std::size_t>(kMaxPollFds));
-    rotate_ = (rotate_ + static_cast<std::size_t>(kMaxPollFds)) % count;
+    rotate_.store((start + static_cast<std::size_t>(kMaxPollFds)) % count,
+                  std::memory_order_relaxed);
   }
   (void)::poll(fds, n, 1);
 }

@@ -7,11 +7,18 @@
 // is preserved, and inbound bytes are fed to the sink in arrival order.
 //
 // Threading: flush may be called from any thread (the endpoint holds the
-// peer's send lock). pump/idle_park/attach/detach are master-thread only;
-// the sink callbacks run on the master thread and must not take peer send
-// locks.
+// peer's send lock). pump/attach/detach are master-thread only (the
+// master-persona holder, which alone polls the substrate); the sink
+// callbacks run on the master thread and must not take peer send locks.
+// idle_park runs on any thread that blocks in a wait loop: the master
+// holder, and run_workers threads blocked in future::wait(). It only reads
+// the fd table, which attach/detach change while no wait loop runs (at
+// bootstrap and at peer departure after the last region). Only the master
+// holder passes a doorbell fd: it is the one thread that can pump the shm
+// rings the bell announces, so it alone may drain it (doorbell.hpp).
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <vector>
 
@@ -50,12 +57,15 @@ class io_backend {
   std::size_t pump(recv_sink& sink);
 
   /// Park for up to 1 ms in poll(2) waiting for inbound traffic, rotating
-  /// the watched window when the mesh exceeds the fd cap.
-  void idle_park();
+  /// the watched window when the mesh exceeds the fd cap. `bell_fd` (the
+  /// caller's shm doorbell eventfd, or -1) is watched beside the sockets,
+  /// outside the rotating window, so a ring record wakes the park too.
+  void idle_park(int bell_fd = -1);
 
  private:
-  std::vector<int> fds_;    ///< peer fd by rank, -1 when absent
-  std::size_t rotate_ = 0;  ///< idle-park window start (fd-cap rotation)
+  std::vector<int> fds_;  ///< peer fd by rank, -1 when absent
+  /// idle-park window start (fd-cap rotation); parks may run concurrently.
+  std::atomic<std::size_t> rotate_{0};
 };
 
 }  // namespace aspen::net

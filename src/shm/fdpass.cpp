@@ -132,18 +132,22 @@ bool recv_fds(int sock, std::uint32_t* tag, int* fds, int nfds) noexcept {
       cm->cmsg_len != CMSG_LEN(static_cast<std::size_t>(nfds) * sizeof(int))) {
     // Close any descriptors that did arrive so nothing leaks.
     if (cm != nullptr && cm->cmsg_type == SCM_RIGHTS) {
-      const std::size_t got =
-          (cm->cmsg_len - CMSG_LEN(0)) / sizeof(int);
+      std::size_t got = (cm->cmsg_len - CMSG_LEN(0)) / sizeof(int);
+      if (got > 8) got = 8;
       int tmp[8];
-      std::memcpy(tmp, CMSG_DATA(cm),
-                  got > 8 ? 8 * sizeof(int) : got * sizeof(int));
-      for (std::size_t i = 0; i < got && i < 8; ++i) ::close(tmp[i]);
+      std::memcpy(tmp, CMSG_DATA(cm), got * sizeof(int));
+      close_fds(tmp, static_cast<int>(got));
     }
     return false;
   }
   std::memcpy(fds, CMSG_DATA(cm),
               static_cast<std::size_t>(nfds) * sizeof(int));
   return true;
+}
+
+void close_fds(const int* fds, int nfds) noexcept {
+  for (int i = 0; i < nfds; ++i)
+    if (fds[i] >= 0) ::close(fds[i]);
 }
 
 }  // namespace aspen::shm

@@ -1,7 +1,8 @@
 // aspen::shm — memfd creation and SCM_RIGHTS fd-passing for the bootstrap.
 //
-// The conduit::shm bootstrap must hand each same-host peer two file
-// descriptors (the data-segment memfd and the control-segment memfd).
+// The conduit::shm bootstrap must hand each same-host peer three file
+// descriptors (the data-segment memfd, the control-segment memfd and the
+// doorbell eventfd).
 // SCM_RIGHTS only travels over AF_UNIX, and the aspen-run mesh is AF_INET
 // loopback, so the exchange runs over short-lived abstract-namespace unix
 // sockets named deterministically from the job's rendezvous port and the
@@ -50,5 +51,8 @@ namespace aspen::shm {
 /// descriptors (anything else fails and closes whatever arrived).
 [[nodiscard]] bool recv_fds(int sock, std::uint32_t* tag, int* fds,
                             int nfds) noexcept;
+
+/// Close every descriptor in `fds[0..nfds)` that is not -1.
+void close_fds(const int* fds, int nfds) noexcept;
 
 }  // namespace aspen::shm

@@ -28,26 +28,24 @@ mapper* mapper::create(const config& c) noexcept {
 
   m->data_fd_ = create_memfd("aspen-shm-data", c.seg_stride);
   m->ctrl_fd_ = create_memfd("aspen-shm-ctrl", m->ctrl_bytes());
-  if (m->data_fd_ < 0 || m->ctrl_fd_ < 0) {
-    if (m->data_fd_ >= 0) ::close(m->data_fd_);
-    if (m->ctrl_fd_ >= 0) ::close(m->ctrl_fd_);
-    delete m;
-    return nullptr;
-  }
-
-  void* ctrl = ::mmap(nullptr, m->ctrl_bytes(), PROT_READ | PROT_WRITE,
-                      MAP_SHARED, m->ctrl_fd_, 0);
+  m->bell_fd_ = doorbell::create_fd();
+  void* ctrl = MAP_FAILED;
+  if (m->data_fd_ >= 0 && m->ctrl_fd_ >= 0 && m->bell_fd_ >= 0)
+    ctrl = ::mmap(nullptr, m->ctrl_bytes(), PROT_READ | PROT_WRITE,
+                  MAP_SHARED, m->ctrl_fd_, 0);
   if (ctrl == MAP_FAILED) {
-    ::close(m->data_fd_);
-    ::close(m->ctrl_fd_);
+    const int own[3] = {m->data_fd_, m->ctrl_fd_, m->bell_fd_};
+    close_fds(own, 3);
     delete m;
     return nullptr;
   }
   m->own_ctrl_ = static_cast<std::byte*>(ctrl);
 
-  // The owner initializes every sender slot before the fd is ever shared,
-  // so a peer that maps the control segment finds valid ring headers no
-  // matter how the exchange interleaves.
+  // The owner initializes its parked word and every sender slot before the
+  // fd is ever shared, so a peer that maps the control segment finds a
+  // clear word and valid ring headers no matter how the exchange
+  // interleaves.
+  (void)doorbell::create(m->own_ctrl_, m->bell_fd_);
   for (int s = 0; s < c.nranks; ++s) {
     std::byte* at = m->slot(m->own_ctrl_, s);
     (void)spsc_ring::create(at, c.msg_ring_bytes);
@@ -60,32 +58,27 @@ mapper* mapper::create(const config& c) noexcept {
   return m;
 }
 
-bool mapper::adopt_peer(int peer, int peer_data_fd,
-                        int peer_ctrl_fd) noexcept {
+bool mapper::adopt_peer(int peer, const int (&fds)[3]) noexcept {
+  const auto reject = [&fds] {
+    close_fds(fds, 3);
+    return false;
+  };
   if (peer < 0 || peer >= cfg_.nranks || peer == cfg_.rank ||
-      peers_[peer].ctrl != nullptr) {
-    ::close(peer_data_fd);
-    ::close(peer_ctrl_fd);
-    return false;
-  }
+      peers_[peer].ctrl != nullptr)
+    return reject();
   void* ctrl = ::mmap(nullptr, ctrl_bytes(), PROT_READ | PROT_WRITE,
-                      MAP_SHARED, peer_ctrl_fd, 0);
-  if (ctrl == MAP_FAILED) {
-    ::close(peer_data_fd);
-    ::close(peer_ctrl_fd);
-    return false;
-  }
+                      MAP_SHARED, fds[1], 0);
+  if (ctrl == MAP_FAILED) return reject();
   // Sanity-check the peer's ring geometry matches ours before trusting it.
   std::byte* my_slot = slot(static_cast<std::byte*>(ctrl), cfg_.rank);
   if (!spsc_ring::attach(my_slot).valid() ||
       spsc_ring::attach(my_slot).capacity() != cfg_.msg_ring_bytes) {
     ::munmap(ctrl, ctrl_bytes());
-    ::close(peer_data_fd);
-    ::close(peer_ctrl_fd);
-    return false;
+    return reject();
   }
-  peers_[peer].data_fd = peer_data_fd;
-  peers_[peer].ctrl_fd = peer_ctrl_fd;
+  peers_[peer].data_fd = fds[0];
+  peers_[peer].ctrl_fd = fds[1];
+  peers_[peer].bell_fd = fds[2];
   peers_[peer].ctrl = static_cast<std::byte*>(ctrl);
   return true;
 }
@@ -120,6 +113,15 @@ spsc_ring mapper::outbound_bulk(int to) const noexcept {
   if (!rank_mapped(to) || to == cfg_.rank) return {};
   return spsc_ring::attach(slot(peers_[to].ctrl, cfg_.rank) +
                            spsc_ring::footprint(cfg_.msg_ring_bytes));
+}
+
+doorbell mapper::own_bell() const noexcept {
+  return doorbell::attach(own_ctrl_, bell_fd_);
+}
+
+doorbell mapper::peer_bell(int to) const noexcept {
+  if (!rank_mapped(to) || to == cfg_.rank) return {};
+  return doorbell::attach(peers_[to].ctrl, peers_[to].bell_fd);
 }
 
 void mapper::map_data_segments(std::uintptr_t base) noexcept {

@@ -8,6 +8,8 @@
 
 #include <unistd.h>
 
+#include <algorithm>
+#include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -16,6 +18,7 @@
 #include <numeric>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "apps/gups/gups.hpp"
@@ -1197,7 +1200,60 @@ TEST(ShmSpmd, ShmCountersAreNetSubset) {
     EXPECT_EQ(total.get(c::shm_msgs_sent), 0u);
     EXPECT_EQ(total.get(c::shm_msgs_received), 0u);
     EXPECT_EQ(total.get(c::shm_peers_mapped), 0u);
+    EXPECT_EQ(total.get(c::shm_wakeups), 0u);
   }
+}
+
+// A rank parked in future::wait() wakes when a ring record lands, not when
+// its 1 ms poll bound runs out (the shm doorbell, docs/SHM.md "Parking").
+// Rank 0 sleeps 200 us before each of 200 rpc round trips to rank 1, longer
+// than a waiter's 64 empty polls, so rank 1 is parked when each request
+// lands and rank 0 is parked when the reply does. Every other rank blocks
+// in future::wait() on a promise that rank 0 releases last, so no rank
+// spins in a barrier beside the measurement. Without the doorbell a round
+// trip sleeps out about a whole park bound; degraded (ASPEN_SHM=0) socket
+// bytes wake the park instead.
+TEST(ShmSpmd, ParkedWaiterWakesOnRingRecord) {
+  ASPEN_REQUIRE_LAUNCHED();
+  const int n = job_size();
+  if (n < 2) GTEST_SKIP() << "needs two ranks";
+  static aspen::promise<>* release = nullptr;
+  aspen::spmd(n, shm_cfg(), [n] {
+    using c = aspen::telemetry::counter;
+    aspen::promise<> done;
+    done.require_anonymous(1);
+    aspen::future<> released = done.finalize();
+    release = &done;
+    aspen::barrier();
+    if (aspen::rank_me() != 0) {
+      released.wait();
+    } else {
+      constexpr int kTrips = 200;
+      const auto before = aspen::telemetry::local_snapshot();
+      std::vector<std::chrono::nanoseconds> rtt;
+      for (int i = 0; i < kTrips; ++i) {
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+        const auto t0 = std::chrono::steady_clock::now();
+        EXPECT_EQ(aspen::rpc(1, [](int x) { return x + 1; }, i).wait(),
+                  i + 1);
+        rtt.push_back(std::chrono::steady_clock::now() - t0);
+      }
+      const auto d = aspen::telemetry::local_snapshot() - before;
+      for (int r = 1; r < n; ++r)
+        aspen::rpc_ff(r, [] { release->fulfill_anonymous(1); });
+      std::nth_element(rtt.begin(), rtt.begin() + kTrips / 2, rtt.end());
+      const auto median = rtt[kTrips / 2];
+      std::printf("note: parked round trip median %.1f us at -n %d\n",
+                  static_cast<double>(median.count()) / 1e3, n);
+      EXPECT_LT(median, std::chrono::microseconds(500))
+          << "a parked rank slept through a ring record";
+      if (shm_fabric_up() && aspen::telemetry::compiled_in()) {
+        EXPECT_GT(d.get(c::shm_wakeups), 0u)
+            << "no ring push found rank 1 parked";
+      }
+    }
+    aspen::barrier();
+  });
 }
 
 // ---------------------------------------------------------------------------

@@ -1,18 +1,28 @@
-// aspen::shm::spsc_ring unit tests — single process, both ring views over
-// one private buffer (the cross-process legs live in test_net_spmd's
-// ShmSpmd suite; the ring itself is oblivious to which side of a fork it
-// sits on).
+// aspen::shm::spsc_ring and shm::doorbell unit tests — single process,
+// both ring views over one private buffer and both bell views over one
+// memory block and one eventfd (the cross-process legs live in
+// test_net_spmd's ShmSpmd suite; neither is aware of which side of a fork
+// it sits on).
 #include <gtest/gtest.h>
 
+#include <poll.h>
+#include <unistd.h>
+
+#include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <thread>
 #include <vector>
 
+#include "shm/doorbell.hpp"
 #include "shm/ring.hpp"
 
 namespace {
 
+using aspen::shm::bell_header;
+using aspen::shm::doorbell;
 using aspen::shm::ring_header;
 using aspen::shm::spsc_ring;
 
@@ -221,6 +231,129 @@ TEST(ShmRing, ConcurrentProducerConsumer) {
   }
   producer.join();
   EXPECT_TRUE(r.empty());
+}
+
+// ---------------------------------------------------------------------------
+// Doorbell: the consumer's parked word plus its eventfd.
+// ---------------------------------------------------------------------------
+
+/// One bell: a 64-byte word block and an eventfd, closed on scope exit.
+struct bell_fixture {
+  alignas(bell_header) unsigned char block[sizeof(bell_header)]{};
+  int fd = doorbell::create_fd();
+  doorbell consumer = doorbell::create(block, fd);
+  doorbell producer = doorbell::attach(block, fd);
+  ~bell_fixture() {
+    if (fd >= 0) ::close(fd);
+  }
+};
+
+/// poll(2) on the eventfd alone; the readiness count (0 on timeout).
+int poll_bell(int fd, int timeout_ms) {
+  pollfd p{fd, POLLIN, 0};
+  return ::poll(&p, 1, timeout_ms);
+}
+
+// An awake consumer costs its producer no syscall: ringing an unset bell
+// leaves the eventfd unreadable.
+TEST(ShmDoorbell, RingingAnUnsetBellWritesNothing) {
+  bell_fixture b;
+  ASSERT_GE(b.fd, 0);
+  ASSERT_TRUE(b.producer.valid());
+  EXPECT_FALSE(b.producer.ring());
+  EXPECT_EQ(poll_bell(b.fd, 0), 0);
+}
+
+TEST(ShmDoorbell, RingingASetBellMakesTheEventfdReadable) {
+  bell_fixture b;
+  ASSERT_GE(b.fd, 0);
+  b.consumer.arm();
+  EXPECT_TRUE(b.producer.ring());
+  EXPECT_EQ(poll_bell(b.fd, 0), 1);
+}
+
+// A ring that lands between the consumer's last ring check and its poll
+// still wakes it: the eventfd stays readable until drained, so the poll
+// (here with a 2 s bound) returns at once.
+TEST(ShmDoorbell, RingBeforePollStillWakes) {
+  bell_fixture b;
+  ASSERT_GE(b.fd, 0);
+  b.consumer.arm();
+  ASSERT_TRUE(b.producer.ring());
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_EQ(poll_bell(b.fd, 2000), 1);
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(1));
+}
+
+// disarm() clears the word and drains the eventfd: the next park sleeps,
+// and a later ring writes nothing until the consumer arms again.
+TEST(ShmDoorbell, DisarmResets) {
+  bell_fixture b;
+  ASSERT_GE(b.fd, 0);
+  b.consumer.arm();
+  ASSERT_TRUE(b.producer.ring());
+  ASSERT_TRUE(b.producer.ring());  // two writes, one drain
+  b.consumer.disarm();
+  EXPECT_EQ(poll_bell(b.fd, 0), 0);
+  EXPECT_FALSE(b.producer.ring());
+  EXPECT_EQ(poll_bell(b.fd, 0), 0);
+}
+
+// No lost wakeup under a real race: the producer pushes and rings after
+// every record; the consumer drains, arms, re-checks the ring and, when it
+// is still empty, parks on the eventfd with a 2 s bound. A park that times
+// out while records remain means a ring saw the word clear after the
+// consumer's re-check saw the ring empty — the store/load reordering the
+// two seq_cst fences exclude. The producer pushes each record only once
+// the ring has drained, after a short varying spin, so each push races the
+// consumer's arm-and-check and no later ring can cover for a lost one.
+TEST(ShmDoorbell, ParkedConsumerNeverMissesARecord) {
+  constexpr std::size_t kCap = spsc_ring::kMinCapacity;
+  constexpr std::uint64_t kRecords = 100000;
+  auto mem = ring_mem(kCap);
+  spsc_ring w = spsc_ring::create(mem.data(), kCap);
+  spsc_ring r = spsc_ring::attach(mem.data());
+  bell_fixture b;
+  ASSERT_GE(b.fd, 0);
+
+  std::thread producer([&w, &b] {
+    std::uint32_t lcg = 1;
+    for (std::uint64_t i = 0; i < kRecords; ++i) {
+      while (w.free_bytes() != kCap) {
+      }
+      lcg = lcg * 1664525u + 1013904223u;
+      for (std::uint32_t spin = lcg >> 26; spin != 0; --spin)
+        std::atomic_signal_fence(std::memory_order_seq_cst);
+      ASSERT_TRUE(w.try_push(&i, sizeof i));
+      (void)b.producer.ring();
+    }
+  });
+
+  // After a first timed-out park the consumer spins instead, so a broken
+  // protocol fails in one park bound rather than one per record.
+  std::uint64_t next = 0, parks = 0, timeouts = 0;
+  while (next < kRecords) {
+    std::uint64_t got = 0;
+    while (r.front_size() != 0) {
+      ASSERT_EQ(r.front_size(), sizeof got);
+      r.pop_front(&got);
+      ASSERT_EQ(got, next) << "records out of order";
+      ++next;
+    }
+    if (next == kRecords) break;
+    if (timeouts != 0) continue;
+    b.consumer.arm();
+    if (r.empty()) {
+      ++parks;
+      if (poll_bell(b.fd, 2000) == 0) ++timeouts;
+    }
+    b.consumer.disarm();
+  }
+  producer.join();
+  EXPECT_EQ(timeouts, 0u) << "of " << parks << " parks";
+  std::printf("note: %llu parks over %llu records\n",
+              static_cast<unsigned long long>(parks),
+              static_cast<unsigned long long>(kRecords));
 }
 
 }  // namespace
