@@ -46,6 +46,7 @@ constexpr const char* kCounterNames[] = {
     "perturb_backpressure",
     "net_msgs_sent",
     "net_msgs_received",
+    "net_msgs_staged",
     "net_eager_sent",
     "net_rdzv_sent",
     "net_bytes_sent",

@@ -130,6 +130,8 @@ enum class counter : std::size_t {
   // Socket conduit (src/net/), conduit::tcp.
   net_msgs_sent,       ///< AMs shipped to a remote process
   net_msgs_received,   ///< AMs delivered from a remote process
+  net_msgs_staged,     ///< of those, AMs that arrived behind a seq gap and
+                       ///< waited in the staged map
   net_eager_sent,      ///< AMs sent in one eager frame (<= eager_max)
   net_rdzv_sent,       ///< AMs negotiated through rendezvous (RTS/CTS)
   net_bytes_sent,      ///< wire bytes written to sockets

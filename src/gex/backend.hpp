@@ -33,11 +33,14 @@ class wire_transport {
   /// The rank this process plays in the wired job.
   [[nodiscard]] virtual int self_rank() const noexcept = 0;
   /// Ship an AM to `target`'s process. Thread-safe (worker threads inject).
-  virtual void send_am(runtime& rt, int target, am_message msg) = 0;
-  /// Advance the socket state machine: flush queued writes, read frames,
-  /// and enqueue arrived AMs into `rt`'s inbox for rank self_rank().
-  /// Returns the number of inbound frames fully processed. Must be called
-  /// only from the master-persona holder (poll()'s contract).
+  virtual void send_am(int target, am_message msg) = 0;
+  /// Advance the socket state machine: flush queued writes, read frames
+  /// and ring records, and run each arrived AM's handler for rank
+  /// self_rank() in per-source seq order, inside the pump. Returns the
+  /// units of work done (0 when nothing arrived). Must be called only
+  /// from the master-persona holder (poll()'s contract). The pump does not
+  /// re-enter itself: a nested progress() from a handler it runs skips the
+  /// wire (and still drains the in-process inbox and the personas).
   virtual std::size_t pump(runtime& rt) = 0;
   /// True while frames are queued outbound, partially received, or parked
   /// awaiting rendezvous — shutdown drains must keep pumping.
@@ -133,7 +136,7 @@ class runtime {
     }
     if (wire_ && target != wire_->self_rank()) {
       // Remote process: serialize onto the socket.
-      wire_->send_am(*this, target, std::move(msg));
+      wire_->send_am(target, std::move(msg));
       return;
     }
     if (perturb_) {
@@ -141,13 +144,6 @@ class runtime {
       return;
     }
     state(target).inbox.push(std::move(msg));
-  }
-
-  /// Deliver an AM that arrived over the wire into rank `me`'s inbox (the
-  /// same queue in-process sends use, so poll() semantics are identical).
-  /// Called by the wire transport's pump from the master-holder thread.
-  void deliver_from_wire(int me, am_message msg) {
-    state(me).inbox.push(std::move(msg));
   }
 
   /// Plug in (or detach, with nullptr) the socket transport. The pointer is
@@ -175,12 +171,11 @@ class runtime {
           me, me);
     }
 #endif
-    // Advance the socket state machine first so frames that just arrived
-    // are already in the inbox when the drain below runs (one poll() turns
-    // a received request into an executed handler, matching the in-process
-    // conduits' single-call latency). Pumped frames count toward the
-    // returned work total but not toward am_executed (only handler runs
-    // do).
+    // Advance the socket state machine first. Wire AMs run inside the pump
+    // as they arrive in seq order (one poll() turns a received request
+    // into an executed handler, matching the in-process conduits'
+    // single-call latency); the pump counts them in am_executed itself.
+    // The drain below serves the in-process inbox.
     std::size_t pumped = 0;
     if (wire_ && me == wire_->self_rank()) pumped = wire_->pump(*this);
     std::size_t n;

@@ -1,11 +1,14 @@
-// Multi-producer / single-consumer queue used for inter-rank active-message
-// delivery. Producers are other rank threads; the sole consumer is the
-// owning rank's progress engine.
+// Multi-producer / single-consumer queue. Producers are any thread; the
+// sole consumer is the owning rank's progress engine. It carries the
+// in-process AM inbox (every AM on the smp conduit, self-sends on the
+// process conduits), the persona LPC mailboxes and the perturbed conduit's
+// inbox. Wire AMs do not pass through it: the endpoint runs them inside its
+// pump (docs/NET.md §4).
 #pragma once
 
 #include <atomic>
 #include <cstddef>
-#include <deque>
+#include <iterator>
 #include <mutex>
 #include <utility>
 #include <vector>
@@ -13,11 +16,11 @@
 namespace aspen::gex {
 
 /// A simple two-phase MPSC queue: producers append under a spinlock, the
-/// consumer drains by swapping the whole backlog out under the same lock and
-/// then processing lock-free. Inter-rank messaging is off the critical path
-/// of every timed experiment (all timed communication resolves via
-/// shared-memory bypass), so simplicity and correctness win over a lock-free
-/// design here.
+/// consumer takes the whole backlog under the same lock and then processes
+/// it lock-free. The backlog is a vector that a drain swaps with the
+/// consumer's empty buffer, so the two buffers trade places and keep their
+/// capacity: once both have grown to the largest burst, neither a push nor
+/// a drain allocates.
 template <typename T>
 class mpsc_queue {
  public:
@@ -46,17 +49,20 @@ class mpsc_queue {
   }
 
   /// Move the entire backlog into `out` (appended). Returns number drained.
-  /// Consumer-thread only.
+  /// An empty `out` swaps buffers with the backlog; a non-empty one takes
+  /// the items by move. Consumer-thread only.
   std::size_t drain_into(std::vector<T>& out) {
     if (!maybe_nonempty()) return 0;
-    std::deque<T> grabbed;
-    {
-      std::lock_guard<spinlock> g(lock_);
-      grabbed.swap(backlog_);
-      approx_size_.store(0, std::memory_order_relaxed);
+    std::lock_guard<spinlock> g(lock_);
+    const std::size_t n = backlog_.size();
+    if (out.empty()) {
+      out.swap(backlog_);
+    } else {
+      out.insert(out.end(), std::make_move_iterator(backlog_.begin()),
+                 std::make_move_iterator(backlog_.end()));
+      backlog_.clear();
     }
-    const std::size_t n = grabbed.size();
-    for (auto& item : grabbed) out.push_back(std::move(item));
+    approx_size_.store(0, std::memory_order_relaxed);
     return n;
   }
 
@@ -74,7 +80,7 @@ class mpsc_queue {
   };
 
   spinlock lock_;
-  std::deque<T> backlog_;
+  std::vector<T> backlog_;
   std::atomic<std::size_t> approx_size_{0};
 };
 

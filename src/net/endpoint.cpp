@@ -498,15 +498,15 @@ bool endpoint::ship_batch_locked(peer& p, int target,
   return pushed;
 }
 
-void endpoint::park_sendq(gex::runtime& rt, peer& p, int target) {
+void endpoint::park_sendq(peer& p, int target) {
   // Bounded-queue mode (ASPEN_NET_SENDQ_MAX): an injector that finds the
   // peer's unsent bytes over the cap parks — flush attempt, then yield or
-  // pump — instead of growing the queue without bound, mirroring the
+  // read — instead of growing the queue without bound, mirroring the
   // perturbed conduit's bounded-inbox backpressure. The spin budget
   // guarantees progress even when both sides flood each other (each then
   // proceeds and the queues absorb the overshoot). Never parks inside the
-  // pump: a handler replying from process_frame must not wait on the queue
-  // its own delivery fills.
+  // pump: a handler the pump runs must not wait on the queue its own
+  // delivery fills.
   if (pumping_.load(std::memory_order_relaxed)) return;
   constexpr int kParkSpins = 1 << 12;
   const bool master = std::this_thread::get_id() == master_tid_;
@@ -522,11 +522,12 @@ void endpoint::park_sendq(gex::runtime& rt, peer& p, int target) {
       parked = true;
       telemetry::count(telemetry::counter::net_sendq_parked);
     }
-    // Only the master thread pumps, so the master makes its own progress
-    // here (which also drains inbound bytes when both sides flood each
-    // other); injector threads yield to it.
+    // Only the master thread reads the sockets, so the master drains its
+    // inbound bytes into the decoders here (both sides may be flooding each
+    // other); injector threads yield to it. The frames wait for the next
+    // pump: AM handlers run inside poll(), never inside a send.
     if (master)
-      (void)pump(rt);
+      (void)io_.pump(*this);
     else
       std::this_thread::yield();
   }
@@ -545,7 +546,7 @@ void endpoint::enqueue_frame(peer& p, int target, const frame_header& hdr,
   flush_locked(p, target);
 }
 
-void endpoint::send_am(gex::runtime& rt, int target, gex::am_message msg) {
+void endpoint::send_am(int target, gex::am_message msg) {
   peer& p = peer_of(target);
   if (!p.sock.valid() || p.departed) {
     aspen::fatal(
@@ -571,7 +572,7 @@ void endpoint::send_am(gex::runtime& rt, int target, gex::am_message msg) {
           : 0;
   rec.trace = msg.trace();
 
-  if (sendq_max_ != 0) park_sendq(rt, p, target);
+  if (sendq_max_ != 0) park_sendq(p, target);
 
   std::lock_guard<std::mutex> lk(p.mu);
   rec.seq = p.next_send_seq++;
@@ -714,12 +715,46 @@ void endpoint::on_bytes(int rank, const void* data, std::size_t len) {
 
 void endpoint::on_eof(int rank) { peer_of(rank).eof_pending = true; }
 
+void endpoint::deliver(gex::runtime& rt, peer& p, int rank,
+                       gex::am_message& msg, std::uint64_t send_ns,
+                       std::uint64_t edge, bool via_shm) {
+  otrace::note_id(msg.trace(), otrace::stage::wire_deliver, edge);
+  if (telemetry::compiled_in() && send_ns != 0) {
+    // Both clocks are rank-0-normalized; clamp at 0 against residual
+    // offset-estimation error on sub-microsecond hops.
+    const auto now_norm = static_cast<std::int64_t>(mono_ns()) -
+                          clock_offset_ns_;
+    const auto sent = static_cast<std::int64_t>(send_ns);
+    telemetry::note_latency(
+        via_shm ? telemetry::lat_stream::shm_delivery
+                : telemetry::lat_stream::wire_delivery,
+        now_norm > sent ? static_cast<std::uint64_t>(now_norm - sent) : 0);
+  }
+  ++p.next_deliver_seq;
+  delivered_from_[static_cast<std::size_t>(rank)].fetch_add(
+      1, std::memory_order_relaxed);
+  telemetry::count(telemetry::counter::net_msgs_received);
+  telemetry::count(telemetry::counter::am_executed);
+  msg.execute(rt, rank_);
+}
+
+void endpoint::arrive(gex::runtime& rt, peer& p, int rank, std::uint64_t seq,
+                      gex::am_message&& msg, std::uint64_t send_ns,
+                      std::uint64_t edge, bool via_shm) {
+  if (seq == p.next_deliver_seq) {
+    deliver(rt, p, rank, msg, send_ns, edge, via_shm);
+    return;
+  }
+  telemetry::count(telemetry::counter::net_msgs_staged);
+  p.staged.emplace(seq, staged_am{std::move(msg), send_ns, edge, via_shm});
+}
+
 template <run_source Src>
-bool endpoint::stage_run(peer& p, int rank,
-                         const std::vector<std::byte>& run) {
+bool endpoint::stage_run(gex::runtime& rt, peer& p, int rank,
+                         const std::byte* run, std::size_t n) {
   constexpr bool via_shm = Src == run_source::ring;
   return decode_run<Src>(
-      run.data(), run.size(),
+      run, n,
       [&](const am_record& r, const std::byte* payload) {
         if constexpr (via_shm) {
           telemetry::count(telemetry::counter::shm_msgs_received);
@@ -734,9 +769,8 @@ bool endpoint::stage_run(peer& p, int rank,
         // payload to the bulk ring before the record, so it is present.
         if (payload == nullptr) p.shm_in_bulk.pop_front(msg.payload());
         msg.set_trace(r.trace);
-        p.staged.emplace(r.seq, staged_am{std::move(msg), r.send_ns,
-                                          flow_id(rank, rank_, r.seq),
-                                          via_shm});
+        arrive(rt, p, rank, r.seq, std::move(msg), r.send_ns,
+               flow_id(rank, rank_, r.seq), via_shm);
       },
       via_shm ? p.shm_in_bulk.front_size() : 0);
 }
@@ -744,17 +778,29 @@ bool endpoint::stage_run(peer& p, int rank,
 std::size_t endpoint::pump_shm_peer(gex::runtime& rt, int rank) {
   peer& p = peer_of(rank);
   std::size_t work = 0;
-  std::vector<std::byte> rec;
   for (;;) {
     const std::size_t sz = p.shm_in_msg.front_size();
     if (sz == 0) break;
-    rec.resize(sz);
-    p.shm_in_msg.pop_front(rec.data());
-    if (!stage_run<run_source::ring>(p, rank, rec)) {
+    if (sz == shm::spsc_ring::kMalformed) {
+      aspen::fatal("net: malformed shm ring record (length prefix past the "
+                   "%zu published bytes) on the rank %d -> %d ring",
+                   p.shm_in_msg.depth_bytes(), rank, rank_);
+    }
+    // Decode the record where it lies and consume it after the decode; the
+    // pump does not re-enter, so the handlers the decode runs cannot
+    // consume it first. Only a record that wraps the buffer end is copied.
+    const std::byte* run = p.shm_in_msg.front_view(sz);
+    if (run == nullptr) {
+      ring_scratch_.resize(sz);
+      p.shm_in_msg.copy_front(ring_scratch_.data());
+      run = ring_scratch_.data();
+    }
+    if (!stage_run<run_source::ring>(rt, p, rank, run, sz)) {
       aspen::fatal("net: malformed shm ring record (%zu bytes) on the rank "
                    "%d -> %d ring",
                    sz, rank, rank_);
     }
+    p.shm_in_msg.consume_front();
     ++work;
   }
   work += release_staged(rt, rank);
@@ -801,7 +847,7 @@ std::size_t endpoint::drain_peer(gex::runtime& rt, int rank) {
   std::size_t work = 0;
   frame f;
   while (p.dec && p.dec->try_next(f)) {
-    process_frame(rank, std::move(f));
+    process_frame(rt, rank, std::move(f));
     ++work;
   }
   if (p.dec && p.dec->in_error()) {
@@ -827,11 +873,12 @@ std::size_t endpoint::drain_peer(gex::runtime& rt, int rank) {
   return work;
 }
 
-void endpoint::process_frame(int rank, frame&& f) {
+void endpoint::process_frame(gex::runtime& rt, int rank, frame&& f) {
   peer& p = peer_of(rank);
   switch (f.kind()) {
     case frame_kind::am_eager:
-      if (!stage_run<run_source::eager>(p, rank, f.payload)) {
+      if (!stage_run<run_source::eager>(rt, p, rank, f.payload.data(),
+                                        f.payload.size())) {
         aspen::fatal("net: malformed am_eager frame from rank %d (%zu "
                      "payload bytes)",
                      rank, f.payload.size());
@@ -878,19 +925,16 @@ void endpoint::process_frame(int rank, frame&& f) {
                      "RTS (seq %" PRIu64 ")",
                      rank, f.hdr.seq);
       }
-      const am_record& rts = it->second;
+      const am_record rts = it->second;
+      p.rdzv_in.erase(it);
       gex::am_message msg(decode_handler(rts.handler_delta, text_anchor()),
                           rank, f.payload.data(), f.payload.size());
       msg.set_trace(rts.trace);
-      // Pre-salt the delivery edge: release_staged records it as-is, and
-      // the DATA leg's sender side staged the matching 's' under the same
-      // salt.
-      p.staged.emplace(rts.seq,
-                       staged_am{std::move(msg), rts.send_ns,
-                                 flow_id(rank, rank_, rts.seq) ^
-                                     otrace::kEdgeSaltData,
-                                 false});
-      p.rdzv_in.erase(it);
+      // Pre-salt the delivery edge: deliver records it as-is, and the DATA
+      // leg's sender side staged the matching 's' under the same salt.
+      arrive(rt, p, rank, rts.seq, std::move(msg), rts.send_ns,
+             flow_id(rank, rank_, rts.seq) ^ otrace::kEdgeSaltData,
+             /*via_shm=*/false);
       break;
     }
     case frame_kind::coll_contrib:
@@ -959,25 +1003,9 @@ std::size_t endpoint::release_staged(gex::runtime& rt, int rank) {
   std::size_t released = 0;
   auto it = p.staged.begin();
   while (it != p.staged.end() && it->first == p.next_deliver_seq) {
-    otrace::note_id(it->second.msg.trace(), otrace::stage::wire_deliver,
-                    it->second.edge);
-    if (telemetry::compiled_in() && it->second.send_ns != 0) {
-      // Both clocks are rank-0-normalized; clamp at 0 against residual
-      // offset-estimation error on sub-microsecond hops.
-      const auto now_norm = static_cast<std::int64_t>(mono_ns()) -
-                            clock_offset_ns_;
-      const auto sent = static_cast<std::int64_t>(it->second.send_ns);
-      telemetry::note_latency(
-          it->second.via_shm ? telemetry::lat_stream::shm_delivery
-                             : telemetry::lat_stream::wire_delivery,
-          now_norm > sent ? static_cast<std::uint64_t>(now_norm - sent) : 0);
-    }
-    rt.deliver_from_wire(rank_, std::move(it->second.msg));
-    delivered_from_[static_cast<std::size_t>(rank)].fetch_add(
-        1, std::memory_order_relaxed);
-    telemetry::count(telemetry::counter::net_msgs_received);
+    staged_am& s = it->second;
+    deliver(rt, p, rank, s.msg, s.send_ns, s.edge, s.via_shm);
     it = p.staged.erase(it);
-    ++p.next_deliver_seq;
     ++released;
   }
   return released;

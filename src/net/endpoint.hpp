@@ -78,7 +78,7 @@ class endpoint final : public gex::wire_transport,
   [[nodiscard]] int nranks() const noexcept { return nranks_; }
   [[nodiscard]] const gex::net_config& cfg() const noexcept { return cfg_; }
 
-  void send_am(gex::runtime& rt, int target, gex::am_message msg) override;
+  void send_am(int target, gex::am_message msg) override;
   std::size_t pump(gex::runtime& rt) override;
   [[nodiscard]] bool has_pending() const noexcept override;
   void idle_wait(bool pumps) noexcept override;
@@ -162,13 +162,13 @@ class endpoint final : public gex::wire_transport,
   endpoint(int rank, int nranks, gex::net_config cfg,
            std::size_t segment_bytes);
 
-  /// An in-order delivery slot: the decoded AM plus the sender's
-  /// rank-0-normalized send timestamp (0 when untimed), so release can
-  /// record wire send -> staged-delivery latency.
+  /// A record that arrived behind a seq gap, held until the gap closes: the
+  /// decoded AM plus the sender's rank-0-normalized send timestamp (0 when
+  /// untimed), so its delivery can record wire send -> delivery latency.
   struct staged_am {
     gex::am_message msg;
     std::uint64_t send_ns = 0;
-    /// otrace wire edge id for the release's wire_deliver record: the
+    /// otrace wire edge id for the delivery's wire_deliver record: the
     /// message's flow id, pre-salted with kEdgeSaltData for rendezvous
     /// deliveries so the 'f' flow event pairs with the DATA leg's 's'.
     std::uint64_t edge = 0;
@@ -196,6 +196,10 @@ class endpoint final : public gex::wire_transport,
     // ---- receive side (pump/master thread only) ----
     std::unique_ptr<decoder> dec;
     std::uint64_t next_deliver_seq = 0;
+    /// Only records that arrived behind a gap: eager records that overtook
+    /// a rendezvous still waiting for its DATA, and ring records that
+    /// overtook a ring-full socket fallback. An in-order record runs at
+    /// once and never enters the map.
     std::map<std::uint64_t, staged_am> staged;
     std::unordered_map<std::uint64_t, am_record> rdzv_in;  ///< RTS by seq
     // ---- shm channel (wired at bootstrap iff the fd exchange succeeded).
@@ -266,8 +270,10 @@ class endpoint final : public gex::wire_transport,
   }
   /// Park the calling injector while the peer's unsent socket bytes exceed
   /// sendq_max_ (bounded spin: progress is always guaranteed; the master
-  /// thread pumps instead of spinning so inbound bytes keep draining).
-  void park_sendq(gex::runtime& rt, peer& p, int target);
+  /// thread reads its sockets instead of spinning so inbound bytes keep
+  /// draining). Returns at once inside the pump, so a handler's sends
+  /// never park.
+  void park_sendq(peer& p, int target);
   /// io_backend::recv_sink — called from io_.pump() on the master thread:
   /// feed the peer's incremental decoder / flag stream EOF. Must not take
   /// peer send locks.
@@ -276,15 +282,27 @@ class endpoint final : public gex::wire_transport,
   /// Process decoded frames and resolve a pending EOF for one peer (the
   /// post-io_backend half of the old pump_peer).
   std::size_t drain_peer(gex::runtime& rt, int rank);
-  /// Drain the peer's inbound shm rings into the staged map.
+  /// Decode the peer's inbound ring records where they lie, running or
+  /// staging each AM, then release what their arrival un-gapped.
   std::size_t pump_shm_peer(gex::runtime& rt, int rank);
-  /// Stage every record of one run — an am_eager frame payload, or a shm
-  /// message-ring record — for in-order release. False on a malformed run.
+  /// Decode every record of one run — an am_eager frame payload, or a shm
+  /// message-ring record — and hand each to arrive(). False on a malformed
+  /// run.
   template <run_source Src>
-  [[nodiscard]] bool stage_run(peer& p, int rank,
-                               const std::vector<std::byte>& run);
-  void process_frame(int rank, frame&& f);
-  /// Release in-order staged AMs to the substrate inbox.
+  [[nodiscard]] bool stage_run(gex::runtime& rt, peer& p, int rank,
+                               const std::byte* run, std::size_t n);
+  void process_frame(gex::runtime& rt, int rank, frame&& f);
+  /// One AM record arrived: run it now if its seq is the next to deliver,
+  /// else hold it in the staged map behind the gap.
+  void arrive(gex::runtime& rt, peer& p, int rank, std::uint64_t seq,
+              gex::am_message&& msg, std::uint64_t send_ns,
+              std::uint64_t edge, bool via_shm);
+  /// The one delivery body, for the in-order fast path and for staged
+  /// records alike: the wire_deliver stage, the delivery latency, the
+  /// quiescence and message counters, then the handler, on this thread.
+  void deliver(gex::runtime& rt, peer& p, int rank, gex::am_message& msg,
+               std::uint64_t send_ns, std::uint64_t edge, bool via_shm);
+  /// Deliver the staged AMs whose gap has closed, in seq order.
   std::size_t release_staged(gex::runtime& rt, int rank);
   /// True while any local queue/staging/rendezvous state is unsettled.
   [[nodiscard]] bool locally_unsettled() const noexcept;
@@ -296,9 +314,13 @@ class endpoint final : public gex::wire_transport,
   /// The socket data plane (peer fds attached once the mesh is wired).
   io_backend io_;
   std::thread::id master_tid_;  ///< the bootstrap/pump thread
-  /// pump() reentrancy guard. Written by the master thread only; atomic
-  /// because park_sendq() consults it from injector threads.
+  /// pump() reentrancy guard, raised while the pump runs AM handlers too.
+  /// Written by the master thread only; atomic because park_sendq()
+  /// consults it from injector threads.
   std::atomic<bool> pumping_{false};
+  /// A ring record that wraps the buffer end, copied out to decode
+  /// (pump_shm_peer; every other record decodes in place).
+  std::vector<std::byte> ring_scratch_;
 
   // Quiescence matrices: counted frames sent to / delivered from each
   // rank. Atomic because worker threads may inject sends.

@@ -16,13 +16,17 @@
 //
 // Ordering contract: the producer writes record bytes first and publishes
 // `head` with release; the consumer loads `head` with acquire before
-// reading, and publishes `tail` with release after the bytes are fully
-// copied out. A consumer can therefore never observe a torn record, and a
-// reader that peeks (copy_front) without consuming resumes at the same
-// record later — the endpoint relies on this to abandon a pump mid-record
-// and retry. Both sides are wait-free: a full ring fails the push (the
-// caller falls back to the socket path) rather than blocking, which keeps
-// the conduit deadlock-free by construction.
+// reading, and publishes `tail` with release after it is done with the
+// bytes. A consumer can therefore never observe a torn record, and a
+// reader that peeks (front_view, copy_front) without consuming resumes at
+// the same record later: the endpoint decodes a record where it lies and
+// consumes it only after the decode. Both sides are wait-free: a full ring
+// fails the push (the caller falls back to the socket path) rather than
+// blocking, which keeps the conduit deadlock-free by construction.
+//
+// The consumer trusts no length it reads from the shared bytes: a prefix
+// claiming more than the producer published is reported as kMalformed,
+// and none of that record's payload is ever read.
 #pragma once
 
 #include <atomic>
@@ -158,17 +162,41 @@ class spsc_ring {
         h_->tail.load(std::memory_order_acquire));
   }
 
-  /// Payload length of the front record, or 0 when the ring is empty.
+  /// front_size() of a record whose length prefix claims more bytes than
+  /// the producer published (head - tail), or of a ring whose indices are
+  /// more than a capacity apart. Its bytes must not be read.
+  static constexpr std::size_t kMalformed = ~std::size_t{0};
+
+  /// Payload length of the front record, 0 when the ring is empty, or
+  /// kMalformed when the prefix does not fit the published bytes.
   [[nodiscard]] std::size_t front_size() const noexcept {
     const std::uint64_t tail = h_->tail.load(std::memory_order_relaxed);
-    if (h_->head.load(std::memory_order_acquire) == tail) return 0;
+    const std::uint64_t published =
+        h_->head.load(std::memory_order_acquire) - tail;
+    if (published == 0) return 0;
+    if (published < sizeof(std::uint64_t) || published > h_->capacity)
+      return kMalformed;
     std::uint64_t len64 = 0;
     read_at(tail, &len64, sizeof len64);
+    if (len64 > published - sizeof len64) return kMalformed;
     return static_cast<std::size_t>(len64);
+  }
+
+  /// The front record's `len` payload bytes (len = a front_size() that was
+  /// not kMalformed) where they lie in the ring, or null when they wrap the
+  /// buffer end (copy_front them instead). Valid until consume_front().
+  [[nodiscard]] const std::byte* front_view(std::size_t len) const noexcept {
+    const std::size_t mask = static_cast<std::size_t>(h_->capacity) - 1;
+    const std::size_t off =
+        static_cast<std::size_t>(h_->tail.load(std::memory_order_relaxed) +
+                                 sizeof(std::uint64_t)) &
+        mask;
+    return off + len <= mask + 1 ? data_ + off : nullptr;
   }
 
   /// Copy the front record's payload into `out` (front_size() bytes)
   /// WITHOUT consuming it — a second copy_front returns the same bytes.
+  /// Only after front_size() returned a length, not kMalformed.
   void copy_front(void* out) const noexcept {
     const std::uint64_t tail = h_->tail.load(std::memory_order_relaxed);
     std::uint64_t len64 = 0;

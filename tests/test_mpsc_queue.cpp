@@ -1,15 +1,36 @@
-// MPSC queue tests: FIFO-per-producer delivery, drain semantics, and a
-// multi-threaded stress test.
+// MPSC queue tests: FIFO-per-producer delivery, drain semantics, a
+// multi-threaded stress test, and a steady-state allocation count.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <memory>
+#include <new>
 #include <thread>
 #include <vector>
 
 #include "gex/mpsc_queue.hpp"
 
 using aspen::gex::mpsc_queue;
+
+// Every operator new in this binary passes through here, so a test can
+// count the allocations a window of queue operations makes.
+namespace {
+std::atomic<std::size_t> g_allocations{0};
+
+void* counted_alloc(std::size_t n) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(n != 0 ? n : 1)) return p;
+  throw std::bad_alloc();
+}
+}  // namespace
+
+void* operator new(std::size_t n) { return counted_alloc(n); }
+void* operator new[](std::size_t n) { return counted_alloc(n); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace {
 
@@ -59,6 +80,27 @@ TEST(MpscQueue, MoveOnlyElements) {
   q.drain_into(out);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(*out[0], 5);
+}
+
+// The consumer's drain swaps its empty buffer with the backlog, so after a
+// warm-up that grows both buffers to the burst size, a push/drain cycle
+// allocates nothing: the AM inbox and persona mailboxes drain on every
+// progress() call.
+TEST(MpscQueue, SteadyStateDrainDoesNotAllocate) {
+  constexpr int kBurst = 64;
+  mpsc_queue<int> q;
+  std::vector<int> out;
+  const auto cycle = [&] {
+    for (int i = 0; i < kBurst; ++i) q.push(i);
+    out.clear();
+    ASSERT_EQ(q.drain_into(out), static_cast<std::size_t>(kBurst));
+    ASSERT_EQ(out.back(), kBurst - 1);
+  };
+  for (int warm = 0; warm < 4; ++warm) cycle();
+  const std::size_t before = g_allocations.load(std::memory_order_relaxed);
+  for (int i = 0; i < 1000; ++i) cycle();
+  EXPECT_EQ(g_allocations.load(std::memory_order_relaxed) - before, 0u)
+      << "allocations over 1000 push/drain cycles of " << kBurst;
 }
 
 TEST(MpscQueue, MultiProducerStress) {

@@ -345,6 +345,7 @@ TEST(NetSpmd, NetCountersTick) {
       EXPECT_GT(d.get(c::net_bytes_received), 0u);
       EXPECT_EQ(d.get(c::net_msgs_sent), d.get(c::net_eager_sent) +
                                              d.get(c::net_rdzv_sent));
+      EXPECT_LE(d.get(c::net_msgs_staged), d.get(c::net_msgs_received));
     }
     aspen::barrier();
   });
@@ -1202,6 +1203,72 @@ TEST(ShmSpmd, ShmCountersAreNetSubset) {
     EXPECT_EQ(total.get(c::shm_peers_mapped), 0u);
     EXPECT_EQ(total.get(c::shm_wakeups), 0u);
   }
+}
+
+// Per-peer FIFO across every channel the endpoint merges. GUPS checksums
+// are XORs and blind to order, so this test checks order itself: each rank
+// sends kMsgs rpc_ff to its right neighbour carrying (src, index), with
+// payloads cycling 16 B, 512 B and 16 KiB. With the fabric up the 16 KiB
+// ones ride the bulk ring. Degraded (ASPEN_SHM=0) they go by rendezvous,
+// and the eager records sent after each wait behind its DATA in the staged
+// map. With 4 KiB rings (net_spmd_shm_ringfull_n4) batches fall back to
+// the socket mid-stream. Every arrival must be one past the previous one
+// from its source.
+TEST(ShmSpmd, PerPeerOrderSurvivesGaps) {
+  ASPEN_REQUIRE_LAUNCHED();
+  const int n = job_size();
+  struct order_log {
+    std::vector<int> last;  ///< previous index seen, by source
+    int arrivals = 0;
+    int out_of_order = 0;
+  };
+  static order_log log;
+  aspen::spmd(n, shm_cfg(), [n] {
+    using c = aspen::telemetry::counter;
+    constexpr int kMsgs = 2000;
+    log = order_log{};
+    log.last.assign(static_cast<std::size_t>(n), -1);
+    const int me = aspen::rank_me();
+    const std::vector<std::uint8_t> pads[] = {
+        std::vector<std::uint8_t>(16, static_cast<std::uint8_t>(me)),
+        std::vector<std::uint8_t>(512, static_cast<std::uint8_t>(me)),
+        std::vector<std::uint8_t>(16 << 10, static_cast<std::uint8_t>(me))};
+    aspen::barrier();
+    const auto before = aspen::telemetry::local_snapshot();
+    for (int i = 0; i < kMsgs; ++i) {
+      aspen::rpc_ff(
+          (me + 1) % n,
+          [](int src, int idx, const std::vector<std::uint8_t>& pad) {
+            ++log.arrivals;
+            int& last = log.last[static_cast<std::size_t>(src)];
+            if (idx != last + 1 || pad.front() != src) ++log.out_of_order;
+            last = idx;
+          },
+          me, i, pads[i % 3]);
+    }
+    // A barrier does not order the rings against the socket: wait for the
+    // left neighbour's kMsgs to land first.
+    while (log.arrivals < kMsgs) aspen::progress();
+    const auto d = aspen::telemetry::local_snapshot() - before;
+    const std::uint64_t staged =
+        aspen::allreduce_sum(d.get(c::net_msgs_staged));
+    EXPECT_EQ(log.arrivals, kMsgs);
+    EXPECT_EQ(log.out_of_order, 0)
+        << "arrivals that were not one past their source's previous index";
+    if (n > 1 && aspen::telemetry::compiled_in()) {
+      const bool up = shm_fabric_up();
+      if (me == 0)
+        std::printf("note: job-wide net_msgs_staged=%llu of %d AMs (fabric "
+                    "%s)\n",
+                    static_cast<unsigned long long>(staged), n * kMsgs,
+                    up ? "up" : "down");
+      if (!up) {
+        EXPECT_GT(staged, 0u)
+            << "no eager record waited behind a rendezvous DATA";
+      }
+    }
+    aspen::barrier();
+  });
 }
 
 // A rank parked in future::wait() wakes when a ring record lands, not when

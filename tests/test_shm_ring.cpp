@@ -167,6 +167,74 @@ TEST(ShmRing, TornReaderResumesAtSameRecord) {
   EXPECT_TRUE(r.empty());
 }
 
+// front_view hands out the front record where it lies, at the same bytes
+// copy_front would copy, until it straddles the buffer end: then it is null
+// and the reader copies instead (the endpoint's one scratch copy).
+TEST(ShmRing, FrontViewIsInPlaceUnlessTheRecordWraps) {
+  constexpr std::size_t kCap = spsc_ring::kMinCapacity;
+  auto mem = ring_mem(kCap);
+  spsc_ring w = spsc_ring::create(mem.data(), kCap);
+  spsc_ring r = spsc_ring::attach(mem.data());
+  const std::byte* data = mem.data() + sizeof(ring_header);
+
+  std::vector<std::uint8_t> rec(100);  // 108-byte footprint: wraps at times
+  std::vector<std::uint8_t> copy(rec.size());
+  int views = 0;
+  int wraps = 0;
+  for (int i = 0; i < 200; ++i) {
+    for (std::size_t j = 0; j < rec.size(); ++j)
+      rec[j] = static_cast<std::uint8_t>(i * 7 + j);
+    ASSERT_TRUE(w.try_push(rec.data(), rec.size()));
+    const std::size_t sz = r.front_size();
+    ASSERT_EQ(sz, rec.size());
+    const std::byte* view = r.front_view(sz);
+    r.copy_front(copy.data());
+    ASSERT_EQ(copy, rec) << "record " << i;
+    if (view != nullptr) {
+      ++views;
+      ASSERT_GE(view, data);
+      ASSERT_LE(view + sz, data + kCap);
+      ASSERT_EQ(std::memcmp(view, rec.data(), sz), 0) << "record " << i;
+    } else {
+      ++wraps;
+    }
+    r.consume_front();
+  }
+  EXPECT_GT(views, 0);
+  EXPECT_GT(wraps, 0) << "no record straddled the buffer end";
+  EXPECT_TRUE(r.empty());
+}
+
+// A length prefix that claims more bytes than the producer published is
+// malformed: front_size says so instead of returning it, so the reader
+// never copies past the record (or past the buffer, for a prefix above
+// the capacity). Only a prefix that fits the published bytes is a length.
+TEST(ShmRing, LengthPrefixPastThePublishedBytesIsMalformed) {
+  constexpr std::size_t kCap = spsc_ring::kMinCapacity;
+  auto mem = ring_mem(kCap);
+  spsc_ring w = spsc_ring::create(mem.data(), kCap);
+  spsc_ring r = spsc_ring::attach(mem.data());
+  std::byte* prefix = mem.data() + sizeof(ring_header);  // tail is 0
+
+  const std::uint8_t rec[16] = {1, 2, 3};
+  ASSERT_TRUE(w.try_push(rec, sizeof rec));  // 24 bytes published
+  const auto set_prefix = [&](std::uint64_t len) {
+    std::memcpy(prefix, &len, sizeof len);
+  };
+  for (const std::uint64_t bad :
+       {std::uint64_t{3} * kCap, std::uint64_t{kCap} + 64,
+        std::uint64_t{kCap}, std::uint64_t{17},
+        ~std::uint64_t{0}}) {
+    set_prefix(bad);
+    EXPECT_EQ(r.front_size(), spsc_ring::kMalformed) << "prefix " << bad;
+  }
+  set_prefix(16);
+  EXPECT_EQ(r.front_size(), 16u);
+  r.consume_front();
+  EXPECT_TRUE(r.empty());
+  EXPECT_EQ(r.front_size(), 0u);
+}
+
 // A full ring refuses the push (wait-free backpressure: the endpoint falls
 // back to the socket) and accepts again once the consumer drains.
 TEST(ShmRing, FullRingBackpressure) {

@@ -163,8 +163,11 @@ TEST(WatchdogTcp, StallTripsAndCleanDoesNot) {
 
   // Deterministic config (the same values the environment carries): the
   // smp tests above may have left the watchdog disabled and the dump base
-  // pointed elsewhere in this process.
-  const std::string base = aspen::telemetry::artifact_base();
+  // pointed elsewhere in this process. The job's rendezvous port, shared by
+  // its ranks and by no concurrent job, suffixes the base, so two runs of
+  // this leg at once never read each other's dump.
+  const std::string base = std::string(aspen::telemetry::artifact_base()) +
+                           "." + std::getenv(aspen::net::kEnvRdzvPort);
   otrace::configure(/*sample_n=*/0, /*ring_bytes=*/1 << 16, base.c_str());
   if (armed) wd::configure(wd_ms);
   const int before = wd::reports_written();
